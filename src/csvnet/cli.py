@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from ._rng import derive_rng
-from .clustering import fast_greedy, louvain, to_newick
+from .clustering import check_newick_label, fast_greedy, louvain, to_newick
 from .compare import compare_all, matrix_tsv
 from .dcsbm import (
     DcsbmConfig,
@@ -58,6 +60,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, directed=args.directed)
+    if graph.n_edges == 0:
+        raise ValueError(f"{args.graph}: edge list has no edges")
     partition = load_partition(args.partition, graph)
     report = csv_report(graph, partition, alpha=args.alpha)
     text = report_to_json(report) if args.format == "json" else report_to_tsv(report)
@@ -76,12 +80,34 @@ def _unique_names(paths: list[str]) -> list[str]:
     return names
 
 
+def _write_dir(out_dir: Path, files: dict[str, str]) -> None:
+    """Write ``files`` into a sibling temporary directory, then move it into
+    place, so a failed write never leaves a partial output directory."""
+    out_dir = Path(os.path.abspath(out_dir))
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
+    tmp.mkdir()
+    try:
+        for name, text in files.items():
+            _write_text(str(tmp / name), text)
+        if out_dir.exists():
+            for name in files:
+                os.replace(tmp / name, out_dir / name)
+            tmp.rmdir()
+        else:
+            tmp.rename(out_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.graphs) < 2:
         raise ValueError("compare needs at least two graph files")
     if args.min_size < 1:
         raise ValueError("min_size must be at least 1")
     names = _unique_names(args.graphs)
+    for name in names:
+        check_newick_label(name)
     graphs = [(name, load_graph(path)) for name, path in zip(names, args.graphs)]
     result = compare_all(graphs, alpha=args.alpha, min_size=args.min_size,
                          seed=args.seed, use_wcsv=args.wcsv,
@@ -92,14 +118,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"error: {pair.name_i} vs {pair.name_j}: {pair.error}",
                   file=sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(str(out_dir / "R.tsv"), matrix_tsv(result.names, result.r_matrix))
-    _write_text(str(out_dir / "S.tsv"), matrix_tsv(result.names, result.s_matrix))
-    _write_text(str(out_dir / "D.tsv"),
-                matrix_tsv(result.names, result.d_matrix.values))
-    _write_text(str(out_dir / "dendrogram.nwk"),
-                to_newick(result.dendrogram()) + "\n")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "alpha": args.alpha,
@@ -123,7 +141,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "error": p.error,
         } for p in result.per_pair],
     }
-    _write_text(str(out_dir / "summary.json"), json.dumps(summary, indent=2) + "\n")
+    out_dir = Path(args.out_dir)
+    _write_dir(out_dir, {
+        "R.tsv": matrix_tsv(result.names, result.r_matrix),
+        "S.tsv": matrix_tsv(result.names, result.s_matrix),
+        "D.tsv": matrix_tsv(result.names, result.d_matrix.values),
+        "dendrogram.nwk": to_newick(result.dendrogram()) + "\n",
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    })
     print(f"compared {len(result.names)} graphs; wrote 5 files to {out_dir}")
     return 0
 

@@ -1,7 +1,8 @@
 """Community detection and hierarchical clustering.
 
-Louvain and the CNM fast-greedy agglomeration are implemented directly over
-weighted adjacency maps so aggregated passes can carry self-loop weight.
+Louvain and the CNM fast-greedy agglomeration both start from the graph's
+cached CSR adjacency; Louvain levels are weighted pair arrays that carry
+self-loop weight after aggregation.
 Complete linkage operates on labeled distance matrices and exports Newick.
 All tie-breaks are lexicographic on ids, making every routine deterministic
 for a fixed seed.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .graph import Graph, Partition
+from .graph import Graph, Partition, symmetric_csr
 
 _GAIN_EPS = 1e-12
 
@@ -40,61 +41,67 @@ def modularity(graph: Graph, partition: Partition) -> float:
 
 
 # --- Louvain -----------------------------------------------------------------
+#
+# Every weight and degree is a sum of unit edge weights, so each sum is exact
+# in any order: visit order and tie-breaks alone fix the result.
 
 
-def _weighted_adjacency(graph: Graph) -> list[dict[int, float]]:
-    adj: list[dict[int, float]] = [{} for _ in range(graph.n_nodes)]
-    for u, v in graph.edges:
-        adj[u][v] = adj[u].get(v, 0.0) + 1.0
-        adj[v][u] = adj[v].get(u, 0.0) + 1.0
-    return adj
-
-
-def _level_q(adj: list[dict[int, float]], loop: np.ndarray,
-             comm: list[int], two_w: float) -> float:
-    n_comm = max(comm) + 1
-    inside = np.zeros(n_comm)
-    tot = np.zeros(n_comm)
-    for i, ci in enumerate(comm):
-        k_i = sum(adj[i].values()) + loop[i]
-        tot[ci] += k_i
-        inside[ci] += loop[i]
-        for j, w in adj[i].items():
-            if j > i and comm[j] == ci:
-                inside[ci] += 2.0 * w
+def _level_q(u: np.ndarray, v: np.ndarray, w: np.ndarray, loop: np.ndarray,
+             k: np.ndarray, comm: np.ndarray, n_comm: int, two_w: float) -> float:
+    """Modularity of ``comm`` on one level: pairs ``(u, v, w)`` plus self-loops."""
+    same = comm[u] == comm[v]
+    inside = (np.bincount(comm, loop, n_comm)
+              + 2.0 * np.bincount(comm[u[same]], w[same], n_comm))
+    tot = np.bincount(comm, k, n_comm)
     return float(np.sum(inside / two_w - (tot / two_w) ** 2))
 
 
-def _local_pass(adj: list[dict[int, float]], loop: np.ndarray,
-                two_w: float, rng: np.random.Generator) -> tuple[list[int], bool]:
-    """One level of greedy node moves; returns (community ids, any move made)."""
-    n = len(adj)
-    k = np.array([sum(d.values()) for d in adj]) + loop
+def _local_pass(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+                k: np.ndarray, two_w: float,
+                rng: np.random.Generator) -> tuple[list[int], bool]:
+    """One level of greedy node moves; returns (community ids, any move made).
+
+    ``links[i]`` maps each community adjacent to node ``i`` to the weight
+    between them and is kept current as neighbours move. Candidates are
+    scanned in ascending id, and a move needs a gain above the best so far
+    by _GAIN_EPS.
+    """
+    n = k.size
+    bounds = indptr.tolist()
+    flat_nbrs, flat_wts = indices.tolist(), weights.tolist()
+    nbrs = [flat_nbrs[bounds[i]:bounds[i + 1]] for i in range(n)]
+    wts = [flat_wts[bounds[i]:bounds[i + 1]] for i in range(n)]
+    links = [dict(zip(nbrs[i], wts[i])) for i in range(n)]
+    k = k.tolist()
     comm = list(range(n))
-    tot = k.astype(np.float64).copy()
+    tot = list(k)
     improved = False
     while True:
         moves = 0
-        for i in rng.permutation(n):
-            i = int(i)
+        for i in rng.permutation(n).tolist():
             ci = comm[i]
-            links: dict[int, float] = {}
-            for j, w in adj[i].items():
-                cj = comm[j]
-                links[cj] = links.get(cj, 0.0) + w
-            tot[ci] -= k[i]
-            stay = links.get(ci, 0.0) - k[i] * tot[ci] / two_w
-            best_c, best_gain = ci, stay
-            for c in sorted(links):
-                if c == ci:
-                    continue
-                gain = links[c] - k[i] * tot[c] / two_w
-                if gain > best_gain + _GAIN_EPS:
-                    best_gain, best_c = gain, c
-            tot[best_c] += k[i]
-            if best_c != ci:
-                comm[i] = best_c
-                moves += 1
+            row = links[i]
+            k_i = k[i]
+            tot[ci] -= k_i
+            best_c, best_gain = ci, row.get(ci, 0.0) - k_i * tot[ci] / two_w
+            for c in sorted(row):
+                if c != ci:
+                    gain = row[c] - k_i * tot[c] / two_w
+                    if gain > best_gain + _GAIN_EPS:
+                        best_gain, best_c = gain, c
+            tot[best_c] += k_i
+            if best_c == ci:
+                continue
+            comm[i] = best_c
+            moves += 1
+            for j, w in zip(nbrs[i], wts[i]):
+                row_j = links[j]
+                left = row_j[ci] - w
+                if left:
+                    row_j[ci] = left
+                else:
+                    del row_j[ci]
+                row_j[best_c] = row_j.get(best_c, 0.0) + w
         if moves == 0:
             break
         improved = True
@@ -111,44 +118,47 @@ def _densify(comm: list[int]) -> tuple[list[int], int]:
     return out, len(ids)
 
 
-def _aggregate(adj: list[dict[int, float]], loop: np.ndarray,
-               comm: list[int], n_comm: int) -> tuple[list[dict[int, float]], np.ndarray]:
-    new_adj: list[dict[int, float]] = [{} for _ in range(n_comm)]
-    new_loop = np.zeros(n_comm)
-    for i, ci in enumerate(comm):
-        new_loop[ci] += loop[i]
-        for j, w in adj[i].items():
-            if j < i:
-                continue
-            cj = comm[j]
-            if ci == cj:
-                new_loop[ci] += 2.0 * w
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_loop
-
-
 def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
-    """Louvain detection plus the modularity reached after each pass."""
+    """Louvain detection plus the modularity reached after each pass.
+
+    A level is held as pairs ``(u, v, w)`` with ``u < v`` plus per-node
+    self-loop weight; aggregation sums pair weights per community pair
+    (Blondel et al. 2008).
+    """
     if graph.directed:
         raise ValueError("louvain operates on undirected graphs")
     if graph.n_edges == 0:
         raise ValueError("louvain needs at least one edge")
     rng = derive_rng(seed)
-    adj = _weighted_adjacency(graph)
-    loop = np.zeros(graph.n_nodes)
+    n = graph.n_nodes
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    w = np.ones(graph.n_edges)
+    loop = np.zeros(n)
+    indptr, indices = graph.csr
+    weights = np.ones(indices.size)
     two_w = 2.0 * graph.n_edges
-    node_map = np.arange(graph.n_nodes)
+    node_map = np.arange(n)
     history: list[float] = []
     while True:
-        comm, improved = _local_pass(adj, loop, two_w, rng)
-        dense, n_comm = _densify(comm)
-        history.append(_level_q(adj, loop, dense, two_w))
-        node_map = np.asarray(dense)[node_map]
-        if not improved or n_comm == len(adj):
+        k = np.bincount(u, w, n) + np.bincount(v, w, n) + loop
+        comm, improved = _local_pass(indptr, indices, weights, k, two_w, rng)
+        dense_list, n_comm = _densify(comm)
+        dense = np.asarray(dense_list, dtype=np.int64)
+        history.append(_level_q(u, v, w, loop, k, dense, n_comm, two_w))
+        node_map = dense[node_map]
+        if not improved or n_comm == n:
             break
-        adj, loop = _aggregate(adj, loop, dense, n_comm)
+        cu, cv = dense[u], dense[v]
+        same = cu == cv
+        loop = (np.bincount(dense, loop, n_comm)
+                + 2.0 * np.bincount(cu[same], w[same], n_comm))
+        cross = ~same
+        keys, inverse = np.unique(np.minimum(cu, cv)[cross] * n_comm
+                                  + np.maximum(cu, cv)[cross], return_inverse=True)
+        w = np.bincount(inverse, w[cross], keys.size)
+        u, v, n = keys // n_comm, keys % n_comm, n_comm
+        indptr, indices, slot = symmetric_csr(n, u, v)
+        weights = np.concatenate([w, w])[slot]
     final, q = _densify(node_map.tolist())
     return Partition(np.asarray(final), q), history
 
@@ -166,6 +176,10 @@ def fast_greedy(graph: Graph) -> Partition:
 
     Merge candidates are connected community pairs; ties break on the
     smallest (id, id) pair, and a merged community keeps the smaller id.
+    As in Clauset, Newman & Moore (2004), every live community keeps a heap
+    of its neighbours' ΔQ, and a global heap holds only each row's maximum
+    (largest ΔQ, smallest neighbour id on ties). A merge rebuilds the merged
+    row and pushes the merged community's new ΔQ into each neighbour's row.
     """
     if graph.directed:
         raise ValueError("fast_greedy operates on undirected graphs")
@@ -173,49 +187,82 @@ def fast_greedy(graph: Graph) -> Partition:
     if m == 0:
         raise ValueError("fast_greedy needs at least one edge")
     n = graph.n_nodes
-    deg = {i: float(graph.degrees[i]) for i in range(n)}
-    links: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    for u, v in graph.edges:
-        u, v = int(u), int(v)
-        links[u][v] = links[u].get(v, 0.0) + 1.0
-        links[v][u] = links[v].get(u, 0.0) + 1.0
-
-    def delta_q(a: int, b: int) -> float:
-        return links[a][b] / m - deg[a] * deg[b] / (2.0 * m * m)
-
-    stamp = dict.fromkeys(range(n), 0)
+    two_mm = 2.0 * m * m
+    deg = [float(d) for d in graph.degrees.tolist()]
+    indptr, indices = graph.csr
+    bounds, flat = indptr.tolist(), indices.tolist()
+    links = [dict.fromkeys(flat[bounds[i]:bounds[i + 1]], 1.0) for i in range(n)]
+    # Row entries are (-ΔQ, neighbour, neighbour's stamp); a community's
+    # stamp moves whenever it absorbs another or is absorbed, which voids
+    # its old entries in every row.
+    stamp = [0] * n
+    rows: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    row_top: list[tuple[float, int] | None] = [None] * n
+    version = [0] * n
     heap: list[tuple[float, int, int, int, int]] = []
-    for a in range(n):
-        for b in links[a]:
-            if a < b:
-                heap.append((-delta_q(a, b), a, b, 0, 0))
-    heapq.heapify(heap)
 
-    alive = set(range(n))
+    def rebuild(x: int) -> list[float]:
+        """Recompute row x after its degree changed; returns its -ΔQ values
+        in ``links[x]`` order."""
+        row = links[x]
+        deg_x = deg[x]
+        negs = [-(w / m - deg_x * deg[y] / two_mm) for y, w in row.items()]
+        rows[x] = list(zip(negs, row, map(stamp.__getitem__, row)))
+        heapq.heapify(rows[x])
+        return negs
+
+    def publish(x: int) -> None:
+        """Offer row x's current maximum to the global heap if it changed."""
+        row = rows[x]
+        while row and stamp[row[0][1]] != row[0][2]:
+            heapq.heappop(row)
+        top = (row[0][0], row[0][1]) if row else None
+        if top != row_top[x]:
+            row_top[x] = top
+            version[x] += 1
+            if top is not None:
+                neg_dq, y = top
+                heapq.heappush(heap, (neg_dq, min(x, y), max(x, y), x, version[x]))
+
+    for x in range(n):
+        rebuild(x)
+        publish(x)
+
     q_now = -float(np.sum((graph.degrees / (2.0 * m)) ** 2))
     best_q, best_step = q_now, 0
     merges: list[tuple[int, int]] = []
     while heap:
-        neg_dq, a, b, sa, sb = heapq.heappop(heap)
-        if a not in alive or b not in alive or stamp[a] != sa or stamp[b] != sb:
+        neg_dq, a, b, x, vx = heapq.heappop(heap)
+        if version[x] != vx:
             continue
         merges.append((a, b))
         q_now -= neg_dq
         if q_now > best_q + 1e-15:
             best_q, best_step = q_now, len(merges)
-        alive.discard(b)
-        deg[a] += deg.pop(b)
+        deg[a] += deg[b]
+        row_a, moved = links[a], links[b]
+        links[b], rows[b], row_top[b] = {}, [], None
+        version[b] += 1
         stamp[a] += 1
-        moved = links.pop(b)
-        links[a].pop(b, None)
-        moved.pop(a, None)
-        for x, w in moved.items():
-            links[a][x] = links[a].get(x, 0.0) + w
-            links[x].pop(b, None)
-            links[x][a] = links[a][x]
-        for x in links[a]:
-            lo, hi = (a, x) if a < x else (x, a)
-            heapq.heappush(heap, (-delta_q(a, x), lo, hi, stamp[lo], stamp[hi]))
+        stamp[b] += 1
+        del row_a[b], moved[a]
+        for y, w in moved.items():
+            row_a[y] = row_a.get(y, 0.0) + w
+            row_y = links[y]
+            del row_y[b]
+            row_y[a] = row_a[y]
+        negs = rebuild(a)
+        publish(a)
+        stamp_a = stamp[a]
+        for neg, y in zip(negs, row_a):
+            entry = (neg, a, stamp_a)
+            row = rows[y]
+            heapq.heappush(row, entry)
+            # The row maximum moves only if it named a or b, or if the new
+            # entry overtook it.
+            top_y = row_top[y][1]
+            if top_y == a or top_y == b or row[0] is entry:
+                publish(y)
 
     owner = list(range(n))
 
@@ -348,14 +395,19 @@ def _fmt(x: float) -> str:
 _NEWICK_UNSAFE = set("(),:;\t\n ")
 
 
+def check_newick_label(label: str) -> None:
+    """Raise ValueError if ``label`` cannot be a Newick leaf name."""
+    if set(label) & _NEWICK_UNSAFE:
+        raise ValueError(f"label {label!r} contains newick delimiters")
+
+
 def to_newick(dend: Dendrogram) -> str:
     """Serialize with branch lengths equal to merge-height differences.
 
     Children print with the subtree containing the smallest leaf index first.
     """
     for label in dend.leaf_labels:
-        if set(label) & _NEWICK_UNSAFE:
-            raise ValueError(f"label {label!r} contains newick delimiters")
+        check_newick_label(label)
     n = dend.n_leaves
     min_leaf = list(range(n)) + [0] * len(dend.merges)
     for idx, (a, b, _) in enumerate(dend.merges):

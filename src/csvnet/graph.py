@@ -89,15 +89,34 @@ class Graph:
         return deg
 
     @cached_property
-    def neighbors(self) -> list[np.ndarray]:
-        """Adjacency lists (undirected graphs only)."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric adjacency as ``(indptr, indices)`` (undirected graphs only).
+
+        Node ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]`` in
+        ascending order. Built on first use.
+        """
         if self.directed:
-            raise ValueError("neighbor lists are only built for undirected graphs")
-        both = np.concatenate([self.edges, self.edges[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        splits = np.searchsorted(both[:, 0], np.arange(1, self.n_nodes))
-        return [a for a in np.split(both[:, 1], splits)]
+            raise ValueError("the adjacency is only built for undirected graphs")
+        indptr, indices, _ = symmetric_csr(self.n_nodes, self.edges[:, 0], self.edges[:, 1])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+
+def symmetric_csr(n: int, u: np.ndarray, v: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR rows over ``n`` nodes for the undirected pairs ``(u[k], v[k])``.
+
+    Returns ``(indptr, indices, slot)``; each row lists its neighbours in
+    ascending order, and entry ``t`` comes from pair ``slot[t] % len(u)``,
+    so per-pair values ``x`` follow as ``np.concatenate([x, x])[slot]``.
+    """
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    slot = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[slot], slot
 
 
 @dataclass(eq=False)
@@ -172,7 +191,7 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     seen: set[tuple[int, int]] = set()
     n_dups = 0
     n_loops = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -219,7 +238,7 @@ def load_partition(path: str | Path, graph: Graph) -> Partition:
     """Parse a two-column "node_label community_label" file for ``graph``."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

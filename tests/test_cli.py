@@ -69,6 +69,17 @@ def test_validate_malformed_graph(tmp_path, capsys):
     assert "bad.tsv:2" in err
 
 
+def test_validate_empty_edge_list_exits_2(tmp_path, capsys):
+    graph = tmp_path / "empty.tsv"
+    graph.write_text("# no edges\n", encoding="utf-8")
+    part = tmp_path / "p.tsv"
+    part.write_text("", encoding="utf-8")
+    assert main(["validate", str(graph), str(part)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "empty.tsv" in err and "no edges" in err
+
+
 def clique_pair_file(tmp_path: Path, name: str, k: int = 7,
                      prefix: str = "n") -> str:
     lines = [f"{prefix}{i}\t{prefix}{j}"
@@ -115,6 +126,28 @@ def test_compare_disjoint_labels_exits_2(tmp_path, capsys):
     assert main(["compare", g1, g2, "--out-dir", str(out_dir)]) == 2
     assert "no node labels" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_compare_newick_unsafe_name_writes_nothing(tmp_path, capsys):
+    g1 = clique_pair_file(tmp_path, "x(1).tsv")
+    g2 = clique_pair_file(tmp_path, "y.tsv")
+    out_dir = tmp_path / "out"
+    assert main(["compare", g1, g2, "--out-dir", str(out_dir)]) == 2
+    assert "x(1)" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x(1).tsv", "y.tsv"]
+
+
+def test_compare_overwrites_existing_out_dir(tmp_path):
+    paths = [clique_pair_file(tmp_path, f"h{i}.tsv", k=6 + i) for i in range(2)]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "R.tsv").write_text("stale\n", encoding="utf-8")
+    (out_dir / "keep.txt").write_text("mine\n", encoding="utf-8")
+    assert main(["compare", *paths, "--out-dir", str(out_dir)]) == 0
+    assert read(out_dir / "R.tsv").startswith("name\th0\th1\n")
+    assert read(out_dir / "keep.txt") == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h0.tsv", "h1.tsv", "out"]
 
 
 def test_compare_single_graph_exits_2(tmp_path, capsys):

@@ -121,6 +121,12 @@ def test_load_graph_comments_and_errors(tmp_path):
         load_graph(f)
 
 
+def test_load_graph_strips_utf8_bom(tmp_path):
+    f = tmp_path / "g.tsv"
+    f.write_bytes("a\tb\nb\tc\n".encode("utf-8-sig"))
+    assert load_graph(f).node_labels == ("a", "b", "c")
+
+
 def test_graph_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 20)
@@ -155,6 +161,12 @@ def test_load_partition_errors(tmp_path):
         f.write_text(text)
         with pytest.raises(GraphFormatError, match=pattern):
             load_partition(f, g)
+
+
+def test_load_partition_strips_utf8_bom(tmp_path):
+    f = tmp_path / "p.tsv"
+    f.write_bytes("a X\nb X\nc Y\n".encode("utf-8-sig"))
+    assert load_partition(f, path3()).assignment.tolist() == [0, 0, 1]
 
 
 def test_partition_round_trip(tmp_path):
