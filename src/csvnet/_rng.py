@@ -2,8 +2,8 @@
 
 Every random draw in the package flows from a single user seed. Independent
 substreams are derived by combining the seed with integer key components via
-``numpy.random.SeedSequence``, so parallel tasks produce identical results
-regardless of scheduling order.
+``numpy.random.SeedSequence``, so each unit of work draws the same numbers
+whatever order the units run in.
 """
 
 from __future__ import annotations
@@ -11,6 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
+
+
+def _seed_sequence(seed, key) -> np.random.SeedSequence:
+    entropy = [int(seed) & _SEED_MASK]
+    for k in key:
+        k = int(k)
+        if k < 0:
+            raise ValueError(f"stream key components must be nonnegative, got {k}")
+        entropy.append(k)
+    return np.random.SeedSequence(entropy)
+
+
+def derive_seed(seed, *key: int) -> int:
+    """Return a 64-bit integer seed for the stream identified by (seed, *key)."""
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def derive_rng(seed, *key: int) -> np.random.Generator:
@@ -24,10 +39,4 @@ def derive_rng(seed, *key: int) -> np.random.Generator:
         if key:
             raise ValueError("cannot derive a keyed stream from a live Generator")
         return seed
-    entropy = [int(seed) & _SEED_MASK]
-    for k in key:
-        k = int(k)
-        if k < 0:
-            raise ValueError(f"stream key components must be nonnegative, got {k}")
-        entropy.append(k)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))

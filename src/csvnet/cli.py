@@ -3,9 +3,8 @@
 Subcommands: validate (score a partition on a graph), compare (pairwise
 relative indices for several graphs), generate (planted-partition sampler),
 cluster (community detection), and simulate (the three studies). All
-randomness flows from --seed; outputs are byte-identical across reruns and
-thread counts. Exit codes: 0 success, 2 usage or input error, 1 internal
-error.
+randomness flows from --seed; outputs are byte-identical across reruns.
+Exit codes: 0 success, 2 usage or input error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         check_newick_label(name)
     graphs = [(name, load_graph(path)) for name, path in zip(names, args.graphs)]
     result = compare_all(graphs, alpha=args.alpha, min_size=args.min_size,
-                         seed=args.seed, use_wcsv=args.wcsv,
-                         threads=args.threads)
+                         seed=args.seed, use_wcsv=args.wcsv)
     failures = [p for p in result.per_pair if p.error is not None]
     if len(failures) == len(result.per_pair):
         for pair in failures:
@@ -215,7 +213,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     common = dict(replicates=args.replicates, seed=args.seed,
-                  alpha=args.alpha, threads=args.threads)
+                  alpha=args.alpha)
     if args.sim != "sim1" and args.v is not None and len(args.v) != 1:
         raise ValueError(f"{args.sim} takes a single --v value")
     if args.sim == "sim1":
@@ -233,6 +231,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         v=(args.v or (500,))[0], **common)
     _write_text(args.out, rows_to_tsv(rows))
     return 0
+
+
+_THREADS_HELP = ("ignored: work runs on one thread; kept so existing scripts "
+                 "still parse, and will be removed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--wcsv", action="store_true",
                        help="use the weighted index in the ratios")
-    p_cmp.add_argument("--threads", type=int, default=None)
+    p_cmp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p_cmp.add_argument("--out-dir", default="csvnet_compare", dest="out_dir")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="louvain, fast_greedy, or external:<path> (sim3)")
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=None)
+    p_sim.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p_sim.add_argument("--out", default=None, help="output file (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -30,14 +30,9 @@ def modularity(graph: Graph, partition: Partition) -> float:
         raise ValueError("modularity needs at least one edge")
     if partition.n_nodes != graph.n_nodes:
         raise ValueError("partition does not match graph size")
-    asg = partition.assignment
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    same = asg[u] == asg[v]
-    internal = np.bincount(asg[u][same], minlength=partition.q)
-    stubs = np.bincount(asg, weights=graph.degrees, minlength=partition.q)
-    e_rr = internal / m
-    a_r = stubs / (2.0 * m)
-    return float(np.sum(e_rr - a_r * a_r))
+    return _level_q(graph.edges[:, 0], graph.edges[:, 1], np.ones(m),
+                    np.zeros(graph.n_nodes), graph.degrees,
+                    partition.assignment, partition.q, 2.0 * m)
 
 
 # --- Louvain -----------------------------------------------------------------
@@ -106,6 +101,14 @@ def _local_pass(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
             break
         improved = True
     return comm, improved
+
+
+def _find(owner: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while owner[x] != x:
+        owner[x] = owner[owner[x]]
+        x = owner[x]
+    return x
 
 
 def _densify(comm: list[int]) -> tuple[list[int], int]:
@@ -265,16 +268,9 @@ def fast_greedy(graph: Graph) -> Partition:
                 publish(y)
 
     owner = list(range(n))
-
-    def find(x: int) -> int:
-        while owner[x] != x:
-            owner[x] = owner[owner[x]]
-            x = owner[x]
-        return x
-
     for a, b in merges[:best_step]:
-        owner[find(b)] = find(a)
-    dense, q = _densify([find(i) for i in range(n)])
+        owner[_find(owner, b)] = _find(owner, a)
+    dense, q = _densify([_find(owner, i) for i in range(n)])
     return Partition(np.asarray(dense), q)
 
 
@@ -366,21 +362,14 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> dict[str, int]:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     owner = list(range(n + len(dend.merges)))
-
-    def find(x: int) -> int:
-        while owner[x] != x:
-            owner[x] = owner[owner[x]]
-            x = owner[x]
-        return x
-
     for idx, (a, b, _) in enumerate(dend.merges[:n - k]):
         root = n + idx
-        owner[find(a)] = root
-        owner[find(b)] = root
+        owner[_find(owner, a)] = root
+        owner[_find(owner, b)] = root
     ids: dict[int, int] = {}
     out: dict[str, int] = {}
     for leaf, label in enumerate(dend.leaf_labels):
-        root = find(leaf)
+        root = _find(owner, leaf)
         if root not in ids:
             ids[root] = len(ids)
         out[label] = ids[root]
@@ -440,18 +429,20 @@ def from_newick(text: str) -> Dendrogram:
     s = s[:-1]
     pos = 0
 
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            raise ValueError(f"expected {ch!r} at {pos}")
+        pos += 1
+
     def parse_node() -> tuple:
         nonlocal pos
         if pos < len(s) and s[pos] == "(":
             pos += 1
             left = parse_node()
-            if s[pos] != ",":
-                raise ValueError(f"expected ',' at {pos}")
-            pos += 1
+            expect(",")
             right = parse_node()
-            if s[pos] != ")":
-                raise ValueError(f"expected ')' at {pos}")
-            pos += 1
+            expect(")")
             node: tuple = (left, right)
         else:
             start = pos
@@ -466,10 +457,6 @@ def from_newick(text: str) -> Dendrogram:
                 pos += 1
             branch = float(s[start:pos])
         return node + (branch,)
-
-    tree = parse_node()
-    if pos != len(s):
-        raise ValueError(f"trailing newick content at {pos}")
 
     leaves: list[str] = []
     internals: list[tuple] = []
@@ -486,7 +473,13 @@ def from_newick(text: str) -> Dendrogram:
         internals.append((l_ref, r_ref, height))
         return -len(internals), height
 
-    walk(tree)
+    try:
+        tree = parse_node()
+        if pos != len(s):
+            raise ValueError(f"trailing newick content at {pos}")
+        walk(tree)
+    except RecursionError:
+        raise ValueError("newick nesting too deep") from None
     if len(leaves) < 2:
         raise ValueError("newick tree must contain at least two leaves")
     n = len(leaves)

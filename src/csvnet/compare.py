@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_tasks
 from ._rng import derive_rng
 from .clustering import Dendrogram, DistanceMatrix, complete_linkage, louvain
 from .graph import Graph, Partition, induced_subgraph
@@ -42,17 +41,27 @@ def filter_small_communities(partition: Partition,
     return keep, filtered
 
 
-def _index_of(report, use_wcsv: bool) -> float:
-    return report.wcsv if use_wcsv else report.ucsv
-
-
 _UNDEFINED_MSG = "relative index undefined: partition scores 0 on its own graph"
 
 
-def _align_partition(p: Partition, from_labels, to_labels) -> Partition:
-    """Re-index a partition given per-node labels onto another label order."""
-    by_label = {lab: int(c) for lab, c in zip(from_labels, p.assignment)}
-    return Partition(np.array([by_label[lab] for lab in to_labels]), p.q)
+def _relative_index(p: Partition, g_own: Graph, g_other: Graph, alpha: float,
+                    use_wcsv: bool) -> tuple[float, float, bool]:
+    """(own-graph index, relative index, defined) for p on g_own's node order.
+
+    p is realigned by label onto g_other's node order; a zero own index
+    leaves the relative index undefined and recorded as 0.
+    """
+    def index(graph: Graph, part: Partition) -> float:
+        report = csv_report(graph, part, alpha=alpha)
+        return report.wcsv if use_wcsv else report.ucsv
+
+    own = index(g_own, p)
+    by_label = {lab: int(c) for lab, c in zip(g_own.node_labels, p.assignment)}
+    p_other = Partition(np.array([by_label[lab] for lab in g_other.node_labels]), p.q)
+    other = index(g_other, p_other)
+    if own == 0.0:
+        return 0.0, 0.0, False
+    return own, other / own, True
 
 
 def relative_ucsv(p: Partition, g_own: Graph, g_other: Graph,
@@ -66,13 +75,10 @@ def relative_ucsv(p: Partition, g_own: Graph, g_other: Graph,
     """
     if set(g_own.node_labels) != set(g_other.node_labels):
         raise ValueError("graphs must share an identical node set")
-    own = _index_of(csv_report(g_own, p, alpha=alpha), use_wcsv)
-    p_other = _align_partition(p, g_own.node_labels, g_other.node_labels)
-    other = _index_of(csv_report(g_other, p_other, alpha=alpha), use_wcsv)
-    if own == 0.0:
+    _, relative, defined = _relative_index(p, g_own, g_other, alpha, use_wcsv)
+    if not defined:
         warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=2)
-        return 0.0
-    return other / own
+    return relative
 
 
 @dataclass(eq=False)
@@ -115,14 +121,8 @@ def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
                  alpha: float, use_wcsv: bool) -> tuple[float, float, bool]:
     """(own-graph index, relative index, defined) for a filtered partition."""
     labels = [g_own.node_labels[i] for i in keep]
-    own_sub = induced_subgraph(g_own, labels)
-    other_sub = induced_subgraph(g_other, labels)
-    own = _index_of(csv_report(own_sub, p, alpha=alpha), use_wcsv)
-    p_other = _align_partition(p, own_sub.node_labels, other_sub.node_labels)
-    other = _index_of(csv_report(other_sub, p_other, alpha=alpha), use_wcsv)
-    if own == 0.0:
-        return 0.0, 0.0, False
-    return own, other / own, True
+    return _relative_index(p, induced_subgraph(g_own, labels),
+                           induced_subgraph(g_other, labels), alpha, use_wcsv)
 
 
 def _pair_detail(g1: Graph, g2: Graph, alpha: float, min_size: int, seed,
@@ -160,13 +160,11 @@ def compare_pair(g1: Graph, g2: Graph, alpha: float = 0.05, min_size: int = 5,
 
 
 def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
-                use_wcsv: bool = False,
-                threads: int | None = None) -> ComparisonResult:
+                use_wcsv: bool = False) -> ComparisonResult:
     """Pairwise relative indices for named graphs, plus S and D matrices.
 
     Pair failures (no common nodes, no surviving communities, edgeless
     overlap) are recorded on the pair and leave zero, undefined entries.
-    Pairs evaluate independently, so thread count never changes the result.
     """
     items = [(str(name), g) for name, g in graphs]
     names = tuple(name for name, _ in items)
@@ -189,8 +187,7 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
     index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        details = run_tasks([lambda i=i, j=j: one_pair(i, j)
-                             for i, j in index_pairs], threads)
+        details = [one_pair(i, j) for i, j in index_pairs]
     r = np.eye(n)
     defined = np.eye(n, dtype=bool)
     for (i, j), detail in zip(index_pairs, details):

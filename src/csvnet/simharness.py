@@ -4,18 +4,19 @@ Three studies share one tidy row schema. Study 1 scores the planted
 partition across a between-block rate grid, study 2 scores a fixed
 reference partition on graphs regenerated from degraded block labels, and
 study 3 scores detection algorithms. Every cell draws from its own derived
-seed, so tables are byte-identical for any thread count.
+seed, and rows are sorted by cell key, so the loop order never shows in a
+table.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import resolve_threads, run_tasks
-from ._rng import derive_rng
+from ._rng import derive_rng, derive_seed
 from .clustering import fast_greedy, louvain, modularity
 from .dcsbm import (
     degrade_partition,
@@ -62,23 +63,18 @@ class SimResultRow:
 
 
 __all__ = [
-    "SimResultRow", "resolve_threads", "rows_to_tsv",
+    "SimResultRow", "rows_to_tsv",
     "run_sim1", "run_sim2", "run_sim3",
 ]
 
 
-def _cell_seed(master, *key: int) -> int:
-    seq = np.random.SeedSequence([int(master) & (2**64 - 1), *key])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _quiet_run(tasks, threads: int | None) -> list[SimResultRow]:
-    """Run cells with expected Monte-Carlo warnings (degenerate tests) muted."""
+def _quiet_run(cell, keys) -> list[SimResultRow]:
+    """Run ``cell(*key)`` for every key with expected Monte-Carlo warnings
+    (degenerate tests) muted; rows come back sorted, not in key order."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        batches = run_tasks(tasks, threads)
-    return sorted((row for batch in batches for row in batch),
-                  key=SimResultRow.sort_key)
+        rows = [row for key in keys for row in cell(*key)]
+    return sorted(rows, key=SimResultRow.sort_key)
 
 
 def _safe_modularity(graph: Graph, partition: Partition) -> float:
@@ -96,8 +92,8 @@ def _check_rates(values, what: str) -> list[float]:
 
 def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
-             alpha: float = 0.05, blocks: int = DEFAULT_BLOCKS,
-             threads: int | None = None) -> list[SimResultRow]:
+             alpha: float = 0.05,
+             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
     """Score the planted partition across network sizes and between rates.
 
     Within rates are drawn uniformly around 0.3 (halfwidth 0.05) per block;
@@ -110,7 +106,7 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
 
     def cell(vi: int, ti: int, rep: int):
         v, theta_rs = v_list[vi], grid[ti]
-        cell_seed = _cell_seed(seed, 1, vi, ti, rep)
+        cell_seed = derive_seed(seed, 1, vi, ti, rep)
         sizes = equal_block_sizes(v, blocks)
         part = planted_partition(sizes)
         diag = sample_theta_within(0.3, 0.05, blocks, derive_rng(cell_seed, 1))
@@ -122,19 +118,15 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
                              _safe_modularity(graph, part),
                              report.ucsv, report.wcsv, cell_seed)]
 
-    tasks = [lambda vi=vi, ti=ti, rep=rep: cell(vi, ti, rep)
-             for vi in range(len(v_list))
-             for ti in range(len(grid))
-             for rep in range(replicates)]
-    return _quiet_run(tasks, threads)
+    return _quiet_run(cell, itertools.product(
+        range(len(v_list)), range(len(grid)), range(replicates)))
 
 
 def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
              degradation_grid=DEFAULT_DEGRADATION_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
              v: int = DEFAULT_V, alpha: float = 0.05,
-             blocks: int = DEFAULT_BLOCKS,
-             threads: int | None = None) -> list[SimResultRow]:
+             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
     """Score the reference partition on graphs built from degraded labels.
 
     Within rates are fixed at 0.3. For each degradation fraction the graph
@@ -148,7 +140,7 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
 
     def cell(li: int, qi: int, rep: int):
         theta_rs, q_frac = levels[li], grid[qi]
-        cell_seed = _cell_seed(seed, 2, li, qi, rep)
+        cell_seed = derive_seed(seed, 2, li, qi, rep)
         sizes = equal_block_sizes(int(v), blocks)
         reference = planted_partition(sizes)
         degraded = degrade_partition(reference, q_frac, derive_rng(cell_seed, 1))
@@ -160,11 +152,8 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
                              _safe_modularity(graph, reference),
                              report.ucsv, report.wcsv, cell_seed)]
 
-    tasks = [lambda li=li, qi=qi, rep=rep: cell(li, qi, rep)
-             for li in range(len(levels))
-             for qi in range(len(grid))
-             for rep in range(replicates)]
-    return _quiet_run(tasks, threads)
+    return _quiet_run(cell, itertools.product(
+        range(len(levels)), range(len(grid)), range(replicates)))
 
 
 def _detect(graph: Graph, algorithm: str, stream) -> Partition:
@@ -181,8 +170,7 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
              replicates: int = DEFAULT_REPLICATES,
              algorithms=("louvain", "fast_greedy"), seed=0, *,
              v: int = DEFAULT_V, alpha: float = 0.05,
-             blocks: int = DEFAULT_BLOCKS,
-             threads: int | None = None) -> list[SimResultRow]:
+             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
     """Score detection algorithms on shared graphs per replicate.
 
     Algorithms are "louvain", "fast_greedy", or "external:<path>" pointing
@@ -201,7 +189,7 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
 
     def cell(li: int, rep: int):
         theta_rs = levels[li]
-        cell_seed = _cell_seed(seed, 3, li, rep)
+        cell_seed = derive_seed(seed, 3, li, rep)
         sizes = equal_block_sizes(int(v), blocks)
         planted = planted_partition(sizes)
         theta = theta_matrix(0.3, theta_rs, blocks)
@@ -217,10 +205,8 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
                                     report.ucsv, report.wcsv, cell_seed))
         return out
 
-    tasks = [lambda li=li, rep=rep: cell(li, rep)
-             for li in range(len(levels))
-             for rep in range(replicates)]
-    return _quiet_run(tasks, threads)
+    return _quiet_run(cell, itertools.product(range(len(levels)),
+                                              range(replicates)))
 
 
 def _fmt(value) -> str:

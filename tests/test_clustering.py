@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvnet.clustering import (
     Dendrogram,
@@ -289,6 +291,28 @@ def test_from_newick_rejects_garbage():
         from_newick("(a:1,b:1);extra;")
     with pytest.raises(ValueError):
         from_newick("a:1;")
+
+
+@pytest.mark.parametrize("text", ["(;", "((a:1,b:1):1;", "(  e ;", "(a,;",
+                                  "(a:1,b:1;"])
+def test_from_newick_truncated_raises_value_error(text):
+    with pytest.raises(ValueError):
+        from_newick(text)
+
+
+def test_from_newick_deep_nesting_raises_value_error():
+    with pytest.raises(ValueError, match="too deep"):
+        from_newick("(" * 3000 + ";")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="(),:;ab1.e- ", max_size=40))
+def test_from_newick_fuzz_parses_or_rejects(text):
+    try:
+        result = from_newick(text)
+    except ValueError:
+        return
+    assert isinstance(result, Dendrogram)
 
 
 def test_distance_matrix_validation():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csvnet.graph import (
     Graph,
@@ -167,6 +171,40 @@ def test_load_partition_strips_utf8_bom(tmp_path):
     f = tmp_path / "p.tsv"
     f.write_bytes("a X\nb X\nc Y\n".encode("utf-8-sig"))
     assert load_partition(f, path3()).assignment.tolist() == [0, 0, 1]
+
+
+# Byte inputs: arbitrary bytes, plus text over the format's own alphabet so
+# that some draws parse.
+_FILE_BYTES = (st.binary(max_size=60)
+               | st.text(alphabet="abc xy\t\n#\ufeff", max_size=40).map(str.encode))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILE_BYTES)
+def test_load_graph_fuzz_parses_or_rejects(tmp_path, data):
+    f = tmp_path / "g.tsv"
+    f.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            result = load_graph(f)
+        except ValueError:
+            return
+    assert isinstance(result, Graph)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILE_BYTES)
+def test_load_partition_fuzz_parses_or_rejects(tmp_path, data):
+    f = tmp_path / "p.tsv"
+    f.write_bytes(data)
+    try:
+        result = load_partition(f, path3())
+    except ValueError:
+        return
+    assert isinstance(result, Partition)
 
 
 def test_partition_round_trip(tmp_path):

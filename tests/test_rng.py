@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from csvnet._rng import derive_rng
+from csvnet._rng import derive_rng, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -39,3 +39,11 @@ def test_negative_seed_masked():
 def test_negative_key_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         derive_rng(3, -2)
+
+
+def test_derive_seed_pinned_values():
+    # The simulation tables print these seeds; they must never move.
+    assert derive_seed(41, 3, 0, 0) == 13984781290392580604
+    assert derive_seed(-5, 1, 2, 3, 4) == 15862877386291260703
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_seed(3, -2)

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from csvnet.graph import GraphFormatError
 from csvnet.simharness import (
     SimResultRow,
-    resolve_threads,
     rows_to_tsv,
     run_sim1,
     run_sim2,
@@ -35,13 +32,13 @@ def test_sim1_row_count_and_schema():
     assert rows == sorted(rows, key=SimResultRow.sort_key)
 
 
-def test_sim1_deterministic_and_thread_invariant():
+def test_sim1_deterministic_on_rerun():
     kwargs = dict(v_list=(40,), theta_between_grid=(0.0, 0.3),
                   replicates=4, seed=7)
-    serial = run_sim1(**kwargs, threads=1)
-    threaded = run_sim1(**kwargs, threads=4)
-    assert serial == threaded
-    assert rows_to_tsv(serial) == rows_to_tsv(threaded)
+    first = run_sim1(**kwargs)
+    again = run_sim1(**kwargs)
+    assert first == again
+    assert rows_to_tsv(first) == rows_to_tsv(again)
 
 
 def test_sim1_strong_structure_scores_high():
@@ -123,16 +120,6 @@ def test_input_validation():
         run_sim3(algorithms=("walktrap",), replicates=1, v=40)
     with pytest.raises(ValueError):
         run_sim3(algorithms=(), replicates=1, v=40)
-
-
-def test_resolve_threads(monkeypatch):
-    assert resolve_threads(3) == 3
-    monkeypatch.delenv("CSVNET_THREADS", raising=False)
-    assert resolve_threads(None) == (os.cpu_count() or 1)
-    monkeypatch.setenv("CSVNET_THREADS", "5")
-    assert resolve_threads(None) == 5
-    with pytest.raises(ValueError):
-        resolve_threads(0)
 
 
 def test_rows_to_tsv_layout():
