@@ -83,6 +83,7 @@ from .stats import (
     bh_adjust,
     hypergeom_pmf,
     lower_mid_p,
+    mid_p_family,
     upper_mid_p,
 )
 
@@ -97,7 +98,7 @@ __all__ = [
     "derive_rng", "enrichment_matrix", "equal_block_sizes", "fast_greedy",
     "filter_small_communities", "from_newick", "hypergeom_pmf",
     "induced_subgraph", "load_graph", "load_partition", "louvain",
-    "louvain_with_history", "lower_mid_p", "matrix_tsv", "modularity",
+    "louvain_with_history", "lower_mid_p", "matrix_tsv", "mid_p_family", "modularity",
     "partition_from_mapping", "planted_partition", "powerlaw_weights",
     "relative_ucsv", "report_to_json", "report_to_tsv", "rows_to_tsv",
     "run_sim1", "run_sim2", "run_sim3", "sample_dcsbm", "sample_graph",

@@ -402,23 +402,30 @@ def to_newick(dend: Dendrogram) -> str:
     for idx, (a, b, _) in enumerate(dend.merges):
         min_leaf[n + idx] = min(min_leaf[a], min_leaf[b])
 
-    def render(ref: int, parent_height: float) -> str:
-        if ref < n:
-            body = dend.leaf_labels[ref]
-            height = 0.0
-        else:
-            a, b, height = dend.merges[ref - n]
-            if min_leaf[b] < min_leaf[a]:
-                a, b = b, a
-            body = f"({render(a, height)},{render(b, height)})"
-        return f"{body}:{_fmt(parent_height - height)}"
+    def children(ref: int) -> tuple[int, int, float]:
+        a, b, height = dend.merges[ref - n]
+        return (b, a, height) if min_leaf[b] < min_leaf[a] else (a, b, height)
 
     if not dend.merges:
         return f"{dend.leaf_labels[0]}:0;"
-    a, b, height = dend.merges[-1]
-    if min_leaf[b] < min_leaf[a]:
-        a, b = b, a
-    return f"({render(a, height)},{render(b, height)});"
+    # Explicit stack instead of recursion: a caterpillar tree is as deep as
+    # it has leaves. Items are literal text or (ref, parent height) subtrees.
+    a, b, height = children(n + len(dend.merges) - 1)
+    out = ["("]
+    stack: list = [");", (b, height), ",", (a, height)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        ref, parent_height = item
+        if ref < n:
+            out.append(f"{dend.leaf_labels[ref]}:{_fmt(parent_height)}")
+        else:
+            a, b, height = children(ref)
+            out.append("(")
+            stack += [f"):{_fmt(parent_height - height)}", (b, height), ",", (a, height)]
+    return "".join(out)
 
 
 def from_newick(text: str) -> Dendrogram:

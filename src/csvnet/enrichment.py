@@ -9,13 +9,13 @@ Benjamini-Hochberg across the whole family of tests at once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .graph import Graph, Partition, observed_links, out_in_degree, total_degree
-from .stats import HypergeomParams, bh_adjust, lower_mid_p, upper_mid_p
+from .stats import HypergeomParams, bh_adjust, lower_mid_p, mid_p_family, upper_mid_p
 
 WITHIN_OVER = "within-over"
 BETWEEN_UNDER = "between-under"
@@ -53,18 +53,53 @@ class EnrichmentResult:
         return not self.degenerate and self.adj_p <= alpha
 
 
+# Column name -> dtype, in the field order of EnrichmentResult minus direction.
+_COLUMNS = {"r": np.int64, "s": np.int64, "n_obs": np.int64, "mu0": np.float64,
+            "raw_p": np.float64, "adj_p": np.float64, "degenerate": np.bool_}
+
+
 @dataclass(eq=False)
 class EnrichmentMatrix:
-    """All within and between tests for one (graph, partition) pair."""
+    """All within and between tests for one (graph, partition) pair.
 
-    results: tuple[EnrichmentResult, ...]
+    Each field is a read-only numpy column in family order: within tests by
+    community id, then between tests lexicographically (undirected keeps
+    r < s; directed keeps both orientations).
+    """
+
     q: int
     directed: bool
+    r: np.ndarray
+    s: np.ndarray
+    n_obs: np.ndarray
+    mu0: np.ndarray
+    raw_p: np.ndarray
+    adj_p: np.ndarray
+    degenerate: np.ndarray
 
     def __post_init__(self) -> None:
         expect = self.q * self.q if self.directed else self.q * (self.q + 1) // 2
-        if len(self.results) != expect:
-            raise ValueError(f"expected {expect} results, got {len(self.results)}")
+        for name, dtype in _COLUMNS.items():
+            col = np.array(getattr(self, name), dtype=dtype)
+            if col.shape != (expect,):
+                raise ValueError(f"expected {expect} results, got {col.size} in {name}")
+            col.setflags(write=False)
+            setattr(self, name, col)
+
+    def rejected(self, alpha: float) -> np.ndarray:
+        """Mask of the tests rejecting at level ``alpha``; degenerate tests never do."""
+        return ~self.degenerate & (self.adj_p <= alpha)
+
+    def records(self):
+        """Per-test tuples in the field order of :class:`EnrichmentResult`."""
+        direction = np.where(self.r == self.s, WITHIN_OVER, BETWEEN_UNDER).tolist()
+        cols = [getattr(self, name).tolist() for name in _COLUMNS]
+        return zip(cols[0], cols[1], direction, *cols[2:])
+
+    @cached_property
+    def results(self) -> tuple[EnrichmentResult, ...]:
+        """Read-only per-test view, built on first access."""
+        return tuple(EnrichmentResult(*rec) for rec in self.records())
 
     @cached_property
     def _by_pair(self) -> dict[tuple[int, int], EnrichmentResult]:
@@ -162,48 +197,30 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
     """
     _check_pair(graph, partition)
     q = partition.q
-    counts = _block_counts(graph, partition)
+    asg = partition.assignment
     if graph.directed:
-        asg = partition.assignment
         outs = np.bincount(asg, weights=graph.out_degrees, minlength=q).astype(np.int64)
         ins = np.bincount(asg, weights=graph.in_degrees, minlength=q).astype(np.int64)
         n_total = graph.n_edges
-        pairs = [(r, s) for r in range(q) for s in range(q) if r != s]
+        r, s = np.nonzero(~np.eye(q, dtype=bool))
     else:
-        degs = np.bincount(partition.assignment, weights=graph.degrees,
-                           minlength=q).astype(np.int64)
+        outs = ins = np.bincount(asg, weights=graph.degrees, minlength=q).astype(np.int64)
         n_total = 2 * graph.n_edges
-        pairs = [(r, s) for r in range(q) for s in range(r + 1, q)]
-
-    bare: list[EnrichmentResult] = []
-    n_degenerate = 0
-    for r in range(q):
-        if graph.directed:
-            params = HypergeomParams(n_total, int(ins[r]), int(outs[r]))
-            degenerate = bool(outs[r] == 0 or ins[r] == 0)
-        else:
-            params = HypergeomParams(n_total, int(degs[r]), int(degs[r]))
-            degenerate = bool(degs[r] == 0)
-        n_obs = int(counts[r, r])
-        raw = DEGENERATE_P if degenerate else upper_mid_p(n_obs, params)
-        n_degenerate += degenerate
-        bare.append(EnrichmentResult(r, r, WITHIN_OVER, n_obs, params.mean, raw,
-                                     degenerate=degenerate))
-    for r, s in pairs:
-        if graph.directed:
-            params = HypergeomParams(n_total, int(ins[s]), int(outs[r]))
-            degenerate = bool(outs[r] == 0 or ins[s] == 0)
-        else:
-            params = HypergeomParams(n_total, int(degs[s]), int(degs[r]))
-            degenerate = bool(degs[r] == 0 or degs[s] == 0)
-        n_obs = int(counts[r, s])
-        raw = DEGENERATE_P if degenerate else lower_mid_p(n_obs, params)
-        n_degenerate += degenerate
-        bare.append(EnrichmentResult(r, s, BETWEEN_UNDER, n_obs, params.mean, raw,
-                                     degenerate=degenerate))
+        r, s = np.triu_indices(q, k=1)
+    r = np.concatenate([np.arange(q), r])
+    s = np.concatenate([np.arange(q), s])
+    # Draws are r's outgoing stubs, successes s's incoming ones.
+    n_draw, n_succ = outs[r], ins[s]
+    n_obs = _block_counts(graph, partition)[r, s]
+    degenerate = (n_draw == 0) | (n_succ == 0)
+    n_degenerate = int(degenerate.sum())
     if n_degenerate:
-        warnings.warn(f"{n_degenerate} of {len(bare)} tests degenerate "
+        warnings.warn(f"{n_degenerate} of {r.size} tests degenerate "
                       "(zero-degree community)", stacklevel=2)
-    adjusted = bh_adjust([res.raw_p for res in bare])
-    results = tuple(replace(res, adj_p=float(adj)) for res, adj in zip(bare, adjusted))
-    return EnrichmentMatrix(results, q, graph.directed)
+    raw = np.where(degenerate, DEGENERATE_P,
+                   mid_p_family(n_obs, n_total, n_succ, n_draw, r == s))
+    # Python ints, so each mean is one correctly rounded division.
+    mu0 = [a * b / n_total if n_total else 0.0
+           for a, b in zip(n_draw.tolist(), n_succ.tolist())]
+    return EnrichmentMatrix(q, graph.directed, r, s, n_obs, mu0, raw,
+                            bh_adjust(raw), degenerate)

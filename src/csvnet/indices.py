@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enrichment import EnrichmentMatrix, enrichment_matrix
 from .graph import Graph, Partition
 
@@ -24,44 +26,60 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _weights(matrix: EnrichmentMatrix, alpha: float) -> np.ndarray:
+    """(alpha - adj_p) / alpha for each rejection, 0.0 for every other test."""
+    return np.where(matrix.rejected(alpha), (alpha - matrix.adj_p) / alpha, 0.0)
+
+
 def ucsv(matrix: EnrichmentMatrix, alpha: float) -> float:
     """Fraction of the test family rejected at level ``alpha``."""
     alpha = _check_alpha(alpha)
-    hits = sum(res.rejected(alpha) for res in matrix.results)
-    return hits / len(matrix.results)
+    return int(matrix.rejected(alpha).sum()) / matrix.r.size
 
 
 def wcsv(matrix: EnrichmentMatrix, alpha: float) -> float:
     """Rejection fraction weighted by (alpha - adj_p) / alpha per test."""
     alpha = _check_alpha(alpha)
-    total = sum((alpha - res.adj_p) / alpha
-                for res in matrix.results if res.rejected(alpha))
-    return total / len(matrix.results)
+    # A sequential sum in family order (cumsum, not the pairwise sum());
+    # the zeros of the other tests add exactly nothing.
+    return float(np.cumsum(_weights(matrix, alpha))[-1]) / matrix.r.size
 
 
-def _community_results(matrix: EnrichmentMatrix, r: int):
-    """The q tests touching community r: its within test plus one between
-    test per other community (r -> s orientation when directed)."""
+def _community_sums(matrix: EnrichmentMatrix, alpha: float) -> tuple[list, list]:
+    """Rejection counts and weight sums over the q tests touching each
+    community: its within test plus one between test per other community
+    (r -> s orientation when directed), added in family order."""
+    r = matrix.r
+    if matrix.directed:
+        comm, test = r, np.arange(r.size)
+    else:
+        # Each test once per community it touches, interleaved so that every
+        # community still meets its tests in family order.
+        pairs = np.stack([r, np.where(r == matrix.s, -1, matrix.s)], axis=1).ravel()
+        touch = pairs >= 0
+        comm, test = pairs[touch], np.repeat(np.arange(r.size), 2)[touch]
+    hits = np.bincount(comm[matrix.rejected(alpha)[test]], minlength=matrix.q)
+    totals = np.bincount(comm, weights=_weights(matrix, alpha)[test], minlength=matrix.q)
+    return hits.tolist(), totals.tolist()
+
+
+def _check_community(matrix: EnrichmentMatrix, r: int) -> None:
     if not 0 <= r < matrix.q:
         raise ValueError(f"community id {r} out of range")
-    yield matrix.result(r, r)
-    for s in range(matrix.q):
-        if s != r:
-            yield matrix.result(r, s)
 
 
 def ucv(matrix: EnrichmentMatrix, r: int, alpha: float) -> float:
     """Single-community validation: rejected fraction of the q tests on r."""
     alpha = _check_alpha(alpha)
-    return sum(res.rejected(alpha) for res in _community_results(matrix, r)) / matrix.q
+    _check_community(matrix, r)
+    return _community_sums(matrix, alpha)[0][r] / matrix.q
 
 
 def wcv(matrix: EnrichmentMatrix, r: int, alpha: float) -> float:
     """Weighted single-community validation index."""
     alpha = _check_alpha(alpha)
-    total = sum((alpha - res.adj_p) / alpha
-                for res in _community_results(matrix, r) if res.rejected(alpha))
-    return total / matrix.q
+    _check_community(matrix, r)
+    return _community_sums(matrix, alpha)[1][r] / matrix.q
 
 
 @dataclass(frozen=True)
@@ -87,10 +105,11 @@ def csv_report(graph: Graph, partition: Partition, alpha: float = 0.05) -> CsvRe
     """Run the whole test family and compute every index."""
     alpha = _check_alpha(alpha)
     matrix = enrichment_matrix(graph, partition)
-    sizes = partition.sizes()
+    hits, totals = _community_sums(matrix, alpha)
+    q = partition.q
     per_community = tuple(
-        CommunityScore(r, int(sizes[r]), ucv(matrix, r, alpha), wcv(matrix, r, alpha))
-        for r in range(partition.q))
+        CommunityScore(r, size, hit / q, total / q)
+        for r, (size, hit, total) in enumerate(zip(partition.sizes().tolist(), hits, totals)))
     return CsvReport(alpha, ucsv(matrix, alpha), wcsv(matrix, alpha),
                      per_community, matrix)
 
@@ -109,10 +128,10 @@ def report_to_json(report: CsvReport) -> str:
             for c in report.per_community
         ],
         "tests": [
-            {"r": res.r, "s": res.s, "direction": res.direction,
-             "n_obs": res.n_obs, "mu0": res.mu0, "raw_p": res.raw_p,
-             "adj_p": res.adj_p, "degenerate": res.degenerate}
-            for res in report.matrix.results
+            {"r": r, "s": s, "direction": direction, "n_obs": n_obs, "mu0": mu0,
+             "raw_p": raw_p, "adj_p": adj_p, "degenerate": degenerate}
+            for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate
+            in report.matrix.records()
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -130,9 +149,9 @@ def report_to_tsv(report: CsvReport) -> str:
              f"index\twcsv\t{_fmt(report.wcsv)}"]
     for c in report.per_community:
         lines.append(f"community\t{c.community}\t{c.size}\t{_fmt(c.ucv)}\t{_fmt(c.wcv)}")
-    for res in report.matrix.results:
+    for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate in report.matrix.records():
         lines.append("\t".join([
-            "test", str(res.r), str(res.s), res.direction, str(res.n_obs),
-            _fmt(res.mu0), _fmt(res.raw_p), _fmt(res.adj_p), str(int(res.degenerate)),
+            "test", str(r), str(s), direction, str(n_obs),
+            _fmt(mu0), _fmt(raw_p), _fmt(adj_p), str(int(degenerate)),
         ]))
     return "\n".join(lines) + "\n"

@@ -1,20 +1,49 @@
 """Exact hypergeometric distribution, one-tailed mid-p-values, and the
 Benjamini-Hochberg step-up adjustment.
 
-The pmf over the whole support is built once per parameter triple from the
-term-ratio recurrence in log space, normalized to unit mass, and cached.
-Tail sums always accumulate the requested side directly from that array, so
+Every pmf comes from one engine, :func:`support_pmfs`, which takes a whole
+family of parameter triples at once. Rows are grouped into blocks of at most
+``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS`` log-weights, and each row walks its
+support from the low end with the term-ratio recurrence in log space: a
+sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache;
+a :class:`HypergeomParams` object keeps the pmf of its own triple.
+
+Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
+row stops once it is past its mode and more than ``_CUT`` = 750 nats below
+its maximum: past the mode every ratio is negative, every later log-weight
+is lower still, and a walk over the whole support would turn each of them
+into 0.0. The window starts at mean + 40 sd and doubles until the row stops.
+On a 200k-edge graph with 200 communities that is a few hundred entries of
+supports about 2,000 long.
+
+Bit-identity with the whole-support walk. A sequential cumsum's prefix never
+depends on later entries, and the walk continues across a window edge as
+``cumsum([carry, ratios...])``, so every log-weight, each row maximum and
+each exp() are the same floats as over the whole support. The weights then
+go into a zero row of the full support length that is normalized and
+tail-summed exactly as before, so numpy's pairwise sums group the same
+numbers: the zeros past the window are the same zeros.
+
+Tail sums always accumulate the requested side directly from the pmf, so
 deep tails keep full relative precision instead of collapsing into
 1 - (bulk mass) cancellation. No normal or binomial approximation is used.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import lgamma
 
 import numpy as np
+
+# float64 exp() returns exactly 0.0 below -745.13, so a log-weight more than
+# this far below its row maximum adds nothing to any pmf.
+_CUT = 750.0
+# A block of rows holds at most this many log-weights per array.
+_BLOCK_ROWS = 256
+_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -37,6 +66,14 @@ class HypergeomParams:
     def mean(self) -> float:
         return self.n * self.K / self.N if self.N > 0 else 0.0
 
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """Unit-normalized pmf over the support, indexed from support[0]:
+        one call into the family engine, kept for this object's lifetime."""
+        ((_, pmf),) = support_pmfs(self.N, self.K, self.n)
+        pmf.setflags(write=False)
+        return pmf
+
 
 def log_choose(n: int, k: int) -> float:
     """ln C(n, k); -inf when k < 0 or k > n."""
@@ -47,36 +84,119 @@ def log_choose(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-@lru_cache(maxsize=512)
-def _support_pmf(params: HypergeomParams) -> np.ndarray:
-    """Unit-normalized pmf over the support, indexed from support[0].
+def _supports(N: np.ndarray, K: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of each support, after checking every parameter triple."""
+    if np.any((K < 0) | (K > N) | (n < 0) | (n > N)):
+        raise ValueError("invalid hypergeometric parameters")
+    return np.maximum(n + K - N, 0), np.minimum(n, K)
 
-    The cache bound keeps memory flat across long simulation runs while
-    still covering every family of a single report.
+
+def support_pmfs(N, K, n) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, pmf)`` for every parameter triple ``i`` of the broadcast
+    arrays: the unit-normalized pmf over the whole support, indexed from its
+    lower end. Triples come in block order, not input order."""
+    N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
+    lo, hi = _supports(N, K, n)
+    size = hi - lo + 1
+    # First window: mean plus 40 standard deviations, grown by doubling
+    # where the tail is heavier than that. Rows are sorted by it so that a
+    # block holds windows of similar width. (N < 2 has a one-point support.)
+    Nf, Kf, nf = np.maximum(N, 2).astype(np.float64), K.astype(np.float64), n.astype(np.float64)
+    mean = nf * Kf / Nf
+    sd = np.sqrt(mean * (Nf - Kf) / Nf * (Nf - nf) / (Nf - 1.0))
+    guess = np.minimum(np.ceil(mean + 40.0 * sd).astype(np.int64) - lo + 64, size)
+    order = np.argsort(guess, kind="stable")
+    guess, size = guess[order], size[order]
+    # Float columns for the walk; see _extend.
+    lo, K, n, c = (a[order].astype(np.float64)[:, None] for a in (lo, K, n, N - K - n))
+    total, start = order.size, 0
+    while start < total:
+        width = int(guess[min(start + _BLOCK_ROWS, total) - 1])
+        stop = min(start + max(1, min(_BLOCK_ROWS, _BLOCK_ELEMS // width)), total)
+        block = slice(start, stop)
+        yield from _block_pmfs(order[block], lo[block], size[block], K[block],
+                               n[block], c[block], width)
+        start = stop
+
+
+def _extend(logw: np.ndarray, lo, K, n, c, width: int) -> np.ndarray:
+    """Continue each row's log-weights to ``width`` columns with the term
+    ratios pmf(x+1) / pmf(x), carrying the sequential cumsum across the cut.
+
+    ``lo``, ``K``, ``n`` and ``c`` = N - K - n are float64 columns; each holds
+    an integer below 2**53, so it is the same float the scalar formula
+    ``K - x`` converts it to.
     """
-    N, K, n = params.N, params.K, params.n
-    lo, hi = params.support
-    if hi == lo:
-        out = np.ones(1)
-    else:
-        xs = np.arange(lo, hi, dtype=np.float64)
-        # pmf(x+1) / pmf(x) of the hypergeometric, strictly positive inside
-        # the support, so the log walk below never sees a zero.
-        ratios = (np.log((K - xs) * (n - xs))
-                  - np.log((xs + 1.0) * (N - K - n + xs + 1.0)))
-        logw = np.concatenate(([0.0], np.cumsum(ratios)))
-        logw -= logw.max()
-        out = np.exp(logw)
-        out /= out.sum()
-    out.setflags(write=False)
-    return out
+    xs = lo + np.arange(logw.shape[1] - 1, width - 1, dtype=np.float64)
+    # Past the support end the ratios turn -inf or nan; a sequential cumsum
+    # carries those only forward, and those columns are masked later.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.log((K - xs) * (n - xs)) - np.log((xs + 1.0) * (c + xs + 1.0))
+    tail = np.cumsum(np.concatenate((logw[:, -1:], ratios), axis=1), axis=1)
+    return np.concatenate((logw, tail[:, 1:]), axis=1)
+
+
+def _block_pmfs(idx, lo, size, K, n, c, width: int):
+    """Walk one block of rows, ``width`` columns at first, and yield each
+    row's pmf as soon as it has stopped."""
+    logw = _extend(np.zeros((idx.size, 1)), lo, K, n, c, width)
+    while True:
+        done = size <= width
+        if not done.all():
+            # Log-weights rise to the mode and fall after it, so a last entry
+            # _CUT below the maximum is past the mode, and every later entry
+            # is lower still: exp() would return exactly 0.0 for all of them.
+            done |= logw[:, -1] < logw.max(axis=1) - _CUT
+        part = logw[done]
+        part[np.arange(width) >= size[done][:, None]] = -np.inf
+        weights = np.exp(part - part.max(axis=1)[:, None])
+        for i, length, row in zip(idx[done].tolist(), size[done].tolist(), weights):
+            pmf = np.zeros(length)
+            w = min(width, length)
+            pmf[:w] = row[:w]
+            pmf[:w] /= pmf.sum()
+            yield i, pmf
+        if done.all():
+            return
+        keep = ~done
+        idx, lo, size, K, n, c = (a[keep] for a in (idx, lo, size, K, n, c))
+        width = int(min(2 * width, size.max()))
+        logw = _extend(logw[keep], lo, K, n, c, width)
+
+
+def _tail(pmf: np.ndarray, j: int, upper: bool) -> float:
+    """Mid-p of the point ``j`` of a unit-normalized pmf, summing the
+    requested side directly."""
+    side = pmf[j + 1:] if upper else pmf[:j]
+    return min(0.5 * float(pmf[j]) + float(side.sum()), 1.0)
+
+
+def mid_p_family(x, N, K, n, upper) -> np.ndarray:
+    """Mid-p-values of a family of hypergeometric tests, one per element of
+    the broadcast arrays: P(X > x) + P(X = x) / 2 where ``upper`` is true,
+    P(X < x) + P(X = x) / 2 where it is false."""
+    x, N, K, n, upper = np.broadcast_arrays(x, N, K, n, upper)
+    shape = x.shape
+    x, N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in (x, N, K, n))
+    upper = np.asarray(upper, dtype=bool).ravel()
+    lo, hi = _supports(N, K, n)
+    out = np.where(upper, x < lo, x > hi).astype(np.float64)
+    inside = np.flatnonzero((lo <= x) & (x <= hi))
+    # One pmf per distinct triple; its tests then differ only in x and side.
+    triples, which = np.unique(np.stack([N, K, n], axis=1)[inside], axis=0,
+                               return_inverse=True)
+    by_triple = np.split(inside[np.argsort(which, kind="stable")],
+                         np.cumsum(np.bincount(which))[:-1])
+    at, up = (x - lo).tolist(), upper.tolist()
+    for t, pmf in support_pmfs(*triples.T):
+        for k in by_triple[t].tolist():
+            out[k] = _tail(pmf, at[k], up[k])
+    return out.reshape(shape)
 
 
 def hypergeom_pmf(x: int, params: HypergeomParams) -> float:
     lo, hi = params.support
-    if x < lo or x > hi:
-        return 0.0
-    return float(_support_pmf(params)[x - lo])
+    return float(params.pmf[x - lo]) if lo <= x <= hi else 0.0
 
 
 def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:
@@ -86,9 +206,7 @@ def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:
         return 1.0
     if x_obs > hi:
         return 0.0
-    pmf = _support_pmf(params)
-    i = x_obs - lo
-    return min(0.5 * float(pmf[i]) + float(pmf[i + 1:].sum()), 1.0)
+    return _tail(params.pmf, x_obs - lo, True)
 
 
 def lower_mid_p(x_obs: int, params: HypergeomParams) -> float:
@@ -98,9 +216,7 @@ def lower_mid_p(x_obs: int, params: HypergeomParams) -> float:
         return 0.0
     if x_obs > hi:
         return 1.0
-    pmf = _support_pmf(params)
-    i = x_obs - lo
-    return min(0.5 * float(pmf[i]) + float(pmf[:i].sum()), 1.0)
+    return _tail(params.pmf, x_obs - lo, False)
 
 
 def bh_adjust(pvalues) -> np.ndarray:

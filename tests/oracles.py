@@ -1,7 +1,10 @@
-"""Independent exact-arithmetic oracles shared across test modules.
+"""Independent oracles shared across test modules.
 
-Everything here is computed with Fractions and math.comb, never with the
-package's own floating-point code paths.
+The exact ones are computed with Fractions and math.comb, never with the
+package's own floating-point code paths. ``full_support_pmf`` and
+``full_support_mid_p`` are the float64 reference for bit-identity: the
+whole-support pmf construction the package used before its pmfs stopped at
+float64 underflow.
 """
 
 from __future__ import annotations
@@ -34,6 +37,37 @@ def exact_lower_mid_p(x: int, N: int, K: int, n: int) -> Fraction:
     if x > min(n, K):
         tail = Fraction(1)
     return Fraction(1, 2) * exact_pmf(x, N, K, n) + tail
+
+
+def full_support_pmf(N: int, K: int, n: int) -> np.ndarray:
+    """Unit-normalized pmf over the whole support, indexed from its lower end."""
+    lo, hi = max(0, n + K - N), min(n, K)
+    if hi == lo:
+        return np.ones(1)
+    xs = np.arange(lo, hi, dtype=np.float64)
+    ratios = (np.log((K - xs) * (n - xs))
+              - np.log((xs + 1.0) * (N - K - n + xs + 1.0)))
+    logw = np.concatenate(([0.0], np.cumsum(ratios)))
+    logw -= logw.max()
+    out = np.exp(logw)
+    out /= out.sum()
+    return out
+
+
+def full_support_mid_p(xs: list[int], N: int, K: int, n: int, upper: bool) -> list[float]:
+    """Upper or lower mid-p tail at each of ``xs``, summed from
+    :func:`full_support_pmf`."""
+    lo, hi = max(0, n + K - N), min(n, K)
+    pmf = full_support_pmf(N, K, n)
+    out = []
+    for x in xs:
+        if x < lo or x > hi:
+            out.append(float(upper == (x < lo)))
+            continue
+        i = x - lo
+        tail = pmf[i + 1:] if upper else pmf[:i]
+        out.append(min(0.5 * float(pmf[i]) + float(tail.sum()), 1.0))
+    return out
 
 
 def bh_reference(pvalues: list[float]) -> list[float]:

@@ -255,6 +255,17 @@ def test_newick_output_examples():
     assert to_newick(complete_linkage(three_leaf_matrix())) == "((a:1,b:1):4,c:5);"
 
 
+def test_to_newick_deep_caterpillar():
+    # One leaf joins per merge, so the tree is as deep as it is wide.
+    n = 1500
+    merges = [(0, 1, 1.0)] + [(n + t - 1, t + 1, float(t + 1)) for t in range(1, n - 1)]
+    dend = Dendrogram(tuple(merges), tuple(f"l{i}" for i in range(n)))
+    expect = "(l0:1,l1:1)"
+    for t in range(2, n):
+        expect = f"({expect}:1,l{t}:{t})"
+    assert to_newick(dend) == expect + ";"
+
+
 def test_newick_rejects_delimiter_labels():
     dend = Dendrogram(((0, 1, 1.0),), ("a(", "b"))
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import csvnet.enrichment as enr
 from csvnet.enrichment import (
     BETWEEN_UNDER,
     WITHIN_OVER,
+    EnrichmentMatrix,
     EnrichmentResult,
     enrichment_matrix,
 )
@@ -211,3 +212,26 @@ def test_result_lookup_and_validation():
         EnrichmentResult(0, 0, BETWEEN_UNDER, 0, 0.0, 0.5)
     with pytest.raises(ValueError):
         EnrichmentResult(0, 1, BETWEEN_UNDER, 0, 0.0, 0.5, adj_p=0.1)
+
+
+def test_matrix_columns_and_lookup():
+    rng = np.random.default_rng(15)
+    g = random_graph(rng, 30, 70)
+    p = Partition(np.arange(30) % 5, 5)
+    for graph in (g, Graph(g.node_labels, g.edges, directed=True)):
+        m = enrichment_matrix(graph, p)
+        assert m.results is m.results  # built once, on first access
+        for col in (m.r, m.s, m.n_obs, m.mu0, m.raw_p, m.adj_p, m.degenerate):
+            assert col.shape == (len(m.results),) and not col.flags.writeable
+        for r in range(5):
+            for s in range(5):
+                res = m.result(r, s)
+                expect = (r, s) if graph.directed or r <= s else (s, r)
+                assert (res.r, res.s) == expect
+        with pytest.raises(KeyError):
+            m.result(0, 5)
+        assert np.array_equal(m.rejected(0.05),
+                              [res.rejected(0.05) for res in m.results])
+    with pytest.raises(ValueError, match="expected 3 results"):
+        EnrichmentMatrix(2, False, r=[0, 1], s=[0, 1], n_obs=[0, 0], mu0=[0.0, 0.0],
+                         raw_p=[0.5, 0.5], adj_p=[0.5, 0.5], degenerate=[False, False])

@@ -8,13 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csvnet.enrichment import (
-    BETWEEN_UNDER,
-    WITHIN_OVER,
-    EnrichmentMatrix,
-    EnrichmentResult,
-    enrichment_matrix,
-)
+from csvnet.enrichment import EnrichmentMatrix, enrichment_matrix
 from csvnet.graph import Graph, Partition
 from csvnet.indices import (
     csv_report,
@@ -31,18 +25,15 @@ def synthetic_matrix(q: int, adj: dict[tuple[int, int], float],
                      directed: bool = False,
                      degenerate: set[tuple[int, int]] = frozenset()) -> EnrichmentMatrix:
     """Build a matrix whose adjusted p-values are dictated directly."""
-    results = []
     pairs = ([(r, r) for r in range(q)]
              + ([(r, s) for r in range(q) for s in range(q) if r != s] if directed
                 else [(r, s) for r in range(q) for s in range(r + 1, q)]))
-    for r, s in pairs:
-        a = adj[(r, s)]
-        deg = (r, s) in degenerate
-        results.append(EnrichmentResult(
-            r, s, WITHIN_OVER if r == s else BETWEEN_UNDER,
-            n_obs=0, mu0=0.0, raw_p=min(a, 0.5 if deg else a), adj_p=a,
-            degenerate=deg))
-    return EnrichmentMatrix(tuple(results), q, directed)
+    adj_p = [adj[pair] for pair in pairs]
+    deg = [pair in degenerate for pair in pairs]
+    raw_p = [min(a, 0.5 if d else a) for a, d in zip(adj_p, deg)]
+    return EnrichmentMatrix(q, directed, r=[r for r, _ in pairs], s=[s for _, s in pairs],
+                            n_obs=[0] * len(pairs), mu0=[0.0] * len(pairs),
+                            raw_p=raw_p, adj_p=adj_p, degenerate=deg)
 
 
 def two_triangles() -> tuple[Graph, Partition]:
@@ -153,6 +144,34 @@ def test_wcsv_le_ucsv_and_averaging_consistency():
         within_hits = sum(res.rejected(alpha) for res in m.results if res.r == res.s)
         between_hits = sum(res.rejected(alpha) for res in m.results if res.r != res.s)
         assert sum(per) * m.q == pytest.approx(within_hits + 2 * between_hits)
+
+
+def test_indices_equal_per_test_sums_bitwise():
+    # The column reductions must add each community's tests in the order the
+    # per-test definition visits them: its within test, then s = 0..q-1.
+    rng = np.random.default_rng(23)
+    for directed in (False, True):
+        for q in (3, 7, 12):
+            pairs = [(r, s) for r in range(q) for s in range(q)
+                     if directed or r <= s]
+            adj = {pair: float(rng.uniform(0.0, 0.08)) for pair in pairs}
+            m = synthetic_matrix(q, adj, directed=directed,
+                                 degenerate={pairs[-1]})
+            alpha = 0.05
+            family = 0.0
+            for res in m.results:
+                if res.rejected(alpha):
+                    family += (alpha - res.adj_p) / alpha
+            assert wcsv(m, alpha) == family / len(m.results)
+            for r in range(q):
+                hits, total = 0, 0.0
+                for s in [r] + [s for s in range(q) if s != r]:
+                    res = m.result(r, s)
+                    if res.rejected(alpha):
+                        hits += 1
+                        total += (alpha - res.adj_p) / alpha
+                assert ucv(m, r, alpha) == hits / q
+                assert wcv(m, r, alpha) == total / q
 
 
 def test_ucsv_monotone_in_alpha():

@@ -18,6 +18,8 @@ from oracles import (
     bh_reference,
     exact_lower_mid_p,
     exact_upper_mid_p,
+    full_support_mid_p,
+    full_support_pmf,
     random_params,
 )
 
@@ -27,6 +29,8 @@ from csvnet.stats import (
     hypergeom_pmf,
     log_choose,
     lower_mid_p,
+    mid_p_family,
+    support_pmfs,
     upper_mid_p,
 )
 
@@ -133,6 +137,109 @@ def test_mid_p_large_population_tail_precision():
     direct = upper_mid_p(40, p)
     oracle = float(exact_upper_mid_p(40, p.N, p.K, p.n))
     assert direct == pytest.approx(oracle, rel=1e-9)
+
+
+# --- family engine: bit-identical to the whole-support walk -------------------
+
+
+def random_triples(rng: np.random.Generator, m: int, n_max: float = 1e6):
+    """(N, K, n) with N log-uniform up to ``n_max``; a third of the triples
+    draw K and n from the upper half of N, so their supports start at lo > 0."""
+    N = np.maximum((10 ** rng.uniform(0, np.log10(n_max), m)).astype(np.int64), 1)
+    frac = np.where(rng.random((2, m)) < 1 / 3, 0.5 + rng.random((2, m)) / 2,
+                    rng.random((2, m)))
+    K, n = np.minimum((frac * (N + 1)).astype(np.int64), N)
+    K[:5], n[5:10] = 0, 0
+    return N, K, n
+
+
+def probe_points(N, K, n) -> list[int]:
+    """Both support ends, one step outside each, the mode, and points 5,
+    40 and 200 standard deviations out on either side (deep tails)."""
+    lo, hi = max(0, n + K - N), min(n, K)
+    mean = n * K / N
+    sd = (mean * (N - K) / N * (N - n) / max(N - 1, 1)) ** 0.5
+    points = {lo - 1, lo, hi, hi + 1, int(mean)}
+    for k in (5, 40, 200):
+        points |= {int(mean + k * sd), int(mean - k * sd)}
+    return sorted(points)
+
+
+def assert_family_matches(N, K, n) -> None:
+    """Every pmf, and both mid-p tails at every probe point, equal the
+    whole-support walk bit for bit; the engine gets the triples as one family."""
+    triples = [(int(a), int(b), int(c)) for a, b, c in zip(N, K, n)]
+    seen = 0
+    for i, pmf in support_pmfs(N, K, n):
+        assert np.array_equal(pmf, full_support_pmf(*triples[i])), triples[i]
+        seen += 1
+    assert seen == len(triples)
+    probes = [probe_points(*t) for t in triples]
+    x = [x for xs in probes for x in xs]
+    params = np.repeat(np.array(triples), [len(xs) for xs in probes], axis=0).T
+    for upper in (True, False):
+        expect = [p for xs, t in zip(probes, triples)
+                  for p in full_support_mid_p(xs, *t, upper)]
+        assert mid_p_family(x, *params, upper).tolist() == expect
+
+
+def test_family_bit_identical_random_triples():
+    rng = np.random.default_rng(41)
+    assert_family_matches(*random_triples(rng, 120))
+
+
+def test_family_bit_identical_small_populations():
+    rng = np.random.default_rng(42)
+    assert_family_matches(*random_triples(rng, 300, n_max=200))
+
+
+def test_family_bit_identical_grown_windows():
+    # Means near 1: on the two large supports the tail is far heavier than
+    # the first mean + 40 sd window, which has to double while the two short
+    # supports in the same block are already done.
+    N = np.array([1_000_000, 400_000, 50_000, 1_000_000])
+    K = np.array([1_000, 600, 5_000, 200_000])
+    n = np.array([1_000, 700, 10, 5])
+    assert_family_matches(N, K, n)
+
+
+def test_bit_identical_where_the_first_window_ends_near_underflow():
+    # For K = n between 45,000 and 85,000 of N = 10^6, a row's first window
+    # ends 700-750 nats below its maximum, around exp()'s underflow at
+    # -745.13: stopping there or one window later decides which denormal
+    # entries survive. One triple per call, so each row keeps its own window.
+    for k in range(45_000, 87_500, 2_500):
+        assert_family_matches(np.array([1_000_000]), np.array([k]), np.array([k]))
+
+
+def test_family_bit_identical_giant_community():
+    # Two communities on 200k edges, one holding 90 % of the stubs: within
+    # tests of both and the between test, as enrichment_matrix builds them.
+    n_total, d = 400_000, np.array([360_000, 40_000])
+    assert_family_matches(np.full(3, n_total), d[[0, 1, 1]], d[[0, 1, 0]])
+
+
+def test_scalar_api_reads_the_family_engine():
+    for N, K, n in [(20_000, 600, 600), (1_000, 900, 800), (50, 0, 7), (1, 1, 1)]:
+        p = HypergeomParams(N, K, n)
+        assert np.array_equal(p.pmf, full_support_pmf(N, K, n))
+        xs = probe_points(N, K, n)
+        assert [upper_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, True)
+        assert [lower_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, False)
+        for x in xs:
+            family = mid_p_family([x, x], N, K, n, [True, False])
+            assert family.tolist() == [upper_mid_p(x, p), lower_mid_p(x, p)]
+
+
+def test_family_shapes_and_validation():
+    got = mid_p_family(np.array([[0, 1], [2, 3]]), 4, 2, 2, True)
+    assert got.shape == (2, 2)
+    assert got[1, 1] == 0.0 and got[0, 0] == pytest.approx(1 - 1 / 12)
+    assert mid_p_family([], 4, 2, 2, True).shape == (0,)
+    with pytest.raises(ValueError):
+        mid_p_family(0, 4, 5, 2, True)
+    with pytest.raises(ValueError):
+        list(support_pmfs(4, 2, -1))
 
 
 # --- Benjamini-Hochberg ------------------------------------------------------
