@@ -14,6 +14,8 @@ import json
 import os
 import shutil
 import sys
+from collections.abc import Callable
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,8 @@ from .dcsbm import (
     sample_dcsbm,
     theta_matrix,
 )
+# induced_subgraph is not called here, but perfbench/traced.py wraps this
+# module's binding of it.
 from .graph import (
     Partition,
     induced_subgraph,
@@ -50,11 +54,33 @@ from .simharness import (
 )
 
 
+def _write_files(writers: dict[str, Callable[[Path], None]]) -> None:
+    """Call each writer on a partial file ``.<name>.partial-<pid>`` beside its
+    target, then move every file into place, so a failed run leaves no
+    target written and no partial file behind."""
+    partials: dict[Path, Path] = {}
+    try:
+        for target, write in writers.items():
+            target = Path(target)
+            partial = target.with_name(f".{target.name}.partial-{os.getpid()}")
+            partials[partial] = target
+            try:
+                write(partial)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        for partial, target in partials.items():
+            os.replace(partial, target)
+    finally:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        _write_files({path: lambda p: p.write_text(text, encoding="utf-8",
+                                                   newline="\n")})
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -88,7 +114,7 @@ def _write_dir(out_dir: Path, files: dict[str, str]) -> None:
     tmp.mkdir()
     try:
         for name, text in files.items():
-            _write_text(str(tmp / name), text)
+            (tmp / name).write_text(text, encoding="utf-8", newline="\n")
         if out_dir.exists():
             for name in files:
                 os.replace(tmp / name, out_dir / name)
@@ -186,13 +212,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     graph, partition = sample_dcsbm(config)
     if graph.n_edges == 0:
         raise ValueError("generated graph has no edges; raise theta or v")
-    save_graph(graph, args.out_graph)
-    connected = [lab for lab, deg in zip(graph.node_labels, graph.degrees)
-                 if deg > 0]
-    sub = induced_subgraph(graph, connected)
+    # The edge list cannot hold isolated nodes, so the partition covers
+    # only the nodes that a reload of the graph file will see.
     mask = graph.degrees > 0
-    save_partition(Partition(partition.assignment[mask], partition.q),
-                   sub, args.out_partition)
+    connected = list(compress(graph.node_labels, mask.tolist()))
+    kept = Partition(partition.assignment[mask], partition.q)
+    _write_files({
+        args.out_graph: lambda path: save_graph(graph, path),
+        args.out_partition: lambda path: save_partition(kept, connected, path),
+    })
     print(f"wrote {graph.n_nodes} nodes, {graph.n_edges} edges to "
           f"{args.out_graph}; partition of {len(connected)} connected nodes "
           f"to {args.out_partition}")

@@ -4,6 +4,19 @@ Every unordered node pair (i, j) carries an independent Bernoulli edge with
 probability min(w_i w_j theta[C_i, C_j], 1). Per-block weight normalization
 keeps the average nodal weight at 1, so theta entries read as plain block
 densities when weights are uniform.
+
+The sampler draws one uniform per node pair, block pair by block pair, and
+compares it with the pair's probability. It draws each block pair's uniforms
+into one reused buffer, which bounds its memory; the stream is the same as
+one draw per block pair, because consecutive draws from a Generator continue
+one sequence. It then builds probabilities for candidates only. The filter
+is exact: weights are positive and a rounded float product is monotone in
+each factor, so every pair's probability is at most the block pair's bound
+max(w_r) * max(w_s) * theta[r, s], and a uniform at or above the bound
+rejects the pair whatever its own probability. Where the bound exceeds 1,
+some pairs may be clamped to 1; there every pair of the buffer is
+evaluated, so the clamped count in the warning stays exact. Time is still
+linear in the number of node pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +28,10 @@ import numpy as np
 
 from ._rng import derive_rng
 from .graph import Graph, Partition
+
+# Uniforms drawn per call to the generator: bounds the sampler's working
+# memory whatever the block sizes.
+_BUFFER = 1 << 16
 
 
 @dataclass(eq=False)
@@ -34,7 +51,7 @@ class DcsbmConfig:
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.shape != (q, q):
             raise ValueError(f"theta must be {q}x{q}")
-        if theta.min() < 0.0 or theta.max() > 1.0:
+        if not np.all((theta >= 0.0) & (theta <= 1.0)):
             raise ValueError("theta entries must lie in [0, 1]")
         if not np.allclose(theta, theta.T, atol=1e-12, rtol=0.0):
             raise ValueError("theta must be symmetric")
@@ -129,36 +146,66 @@ def sample_graph(assignment, theta, weights, seed,
     q = theta.shape[0]
     if w.shape != (v,):
         raise ValueError("one weight per node required")
+    if not np.all(w > 0.0):
+        raise ValueError("weights must be positive")
     if asg.size and (asg.min() < 0 or asg.max() >= q):
         raise ValueError("assignment references a block outside theta")
     rng = derive_rng(seed)
     members = [np.flatnonzero(asg == r) for r in range(q)]
-    chunks: list[np.ndarray] = []
+    wmax = [float(w[m].max()) if m.size else 0.0 for m in members]
+    largest = max((m.size for m in members), default=0)
+    buf = np.empty(min(_BUFFER, largest * largest))
+    heads: list[np.ndarray] = []
+    tails: list[np.ndarray] = []
     n_clamped = 0
     for r in range(q):
+        rows = members[r]
+        nr = rows.size
+        # Flat index of pair (row, row + 1) in the block's row-major upper
+        # triangle, for each row that has pairs.
+        row = np.arange(max(nr - 1, 0))
+        starts = row * (2 * nr - row - 1) // 2
+        row_heads: list[np.ndarray] = []
+        row_tails: list[np.ndarray] = []
         for s in range(r, q):
             rate = theta[r, s]
-            if rate == 0.0 or not members[r].size or not members[s].size:
+            cols = members[s]
+            ns = cols.size
+            if rate == 0.0 or not nr or not ns:
                 continue
-            if r == s:
-                i_loc, j_loc = np.triu_indices(members[r].size, k=1)
-                u, vv = members[r][i_loc], members[r][j_loc]
-            else:
-                u = np.repeat(members[r], members[s].size)
-                vv = np.tile(members[s], members[r].size)
-            if not u.size:
-                continue
-            probs = w[u] * w[vv] * rate
-            n_clamped += int(np.count_nonzero(probs > 1.0))
-            np.minimum(probs, 1.0, out=probs)
-            mask = rng.random(probs.size) < probs
-            if mask.any():
-                chunks.append(np.stack([u[mask], vv[mask]], axis=1))
+            n_pairs = nr * (nr - 1) // 2 if r == s else nr * ns
+            # Every pair's probability is at most this bound (see the
+            # module docstring); above 1 some pairs may clamp.
+            bound = wmax[r] * wmax[s] * rate
+            full = bound > 1.0
+            for lo in range(0, n_pairs, buf.size):
+                draws = rng.random(out=buf[:min(buf.size, n_pairs - lo)])
+                hit = (np.arange(draws.size) if full
+                       else (draws < bound).nonzero()[0])
+                if not hit.size:
+                    continue
+                flat = hit + lo
+                if r == s:
+                    a = np.searchsorted(starts, flat, side="right") - 1
+                    b = flat - starts[a] + a + 1
+                else:
+                    a, b = np.divmod(flat, ns)
+                u, vv = rows[a], cols[b]
+                probs = w[u] * w[vv] * rate
+                if full:
+                    n_clamped += int(np.count_nonzero(probs > 1.0))
+                    np.minimum(probs, 1.0, out=probs)
+                mask = draws[hit] < probs
+                row_heads.append(u[mask])
+                row_tails.append(vv[mask])
+        if row_heads:  # one array per block row keeps the lists short
+            heads.append(np.concatenate(row_heads))
+            tails.append(np.concatenate(row_tails))
     if n_clamped:
         warnings.warn(f"clamped {n_clamped} pair probabilities to 1; "
                       "weights or rates may be misconfigured", stacklevel=2)
-    edges = (np.concatenate(chunks) if chunks
-             else np.empty((0, 2), dtype=np.int64))
+    edges = (np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
+             if heads else np.empty((0, 2), dtype=np.int64))
     if labels is None:
         labels = tuple(f"n{i}" for i in range(v))
     return Graph(labels, edges)

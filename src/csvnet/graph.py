@@ -10,11 +10,15 @@ by the constructor and silently cleaned (with a summary warning) by
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+
+_SAVE_BLOCK = 1 << 14  # edges formatted per write in save_graph
 
 
 class GraphFormatError(ValueError):
@@ -230,8 +234,12 @@ def save_graph(graph: Graph, path: str | Path) -> None:
     from the file (callers that persist partitions alongside a graph should
     restrict them to the nodes that survive a round trip).
     """
-    lines = [f"{graph.node_labels[u]}\t{graph.node_labels[v]}\n" for u, v in graph.edges]
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
+    labels = graph.node_labels
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # Blocks of rows keep the Python lists small next to the edge array.
+        for lo in range(0, graph.n_edges, _SAVE_BLOCK):
+            rows = graph.edges[lo:lo + _SAVE_BLOCK].tolist()
+            fh.write("".join([f"{labels[u]}\t{labels[v]}\n" for u, v in rows]))
 
 
 def load_partition(path: str | Path, graph: Graph) -> Partition:
@@ -260,10 +268,12 @@ def load_partition(path: str | Path, graph: Graph) -> Partition:
     return partition_from_mapping(graph, mapping)
 
 
-def save_partition(partition: Partition, graph: Graph, path: str | Path) -> None:
-    if partition.n_nodes != graph.n_nodes:
-        raise ValueError("partition does not match graph size")
-    lines = [f"{lab}\t{partition.assignment[i]}\n" for i, lab in enumerate(graph.node_labels)]
+def save_partition(partition: Partition, labels: Sequence[str], path: str | Path) -> None:
+    """Write one "node_label community" line per node; ``labels[i]`` names
+    node ``i`` of ``partition``."""
+    if partition.n_nodes != len(labels):
+        raise ValueError("partition does not match the number of labels")
+    lines = [f"{lab}\t{c}\n" for lab, c in zip(labels, partition.assignment.tolist())]
     Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 

@@ -9,6 +9,7 @@ never reject, so partitions with dead communities score lower.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,22 @@ def csv_report(graph: Graph, partition: Partition, alpha: float = 0.05) -> CsvRe
                      per_community, matrix)
 
 
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes a float."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def report_to_json(report: CsvReport) -> str:
-    """Serialize with a fixed field order, trailing newline, LF only."""
+    """Serialize with a fixed field order, trailing newline, LF only.
+
+    The text equals ``json.dumps(payload, indent=2) + "\n"``. The test list
+    is written directly, because ``json`` falls back to its pure-Python
+    encoder whenever ``indent`` is set.
+    """
     payload = {
         "schema_version": SCHEMA_VERSION,
         "alpha": report.alpha,
@@ -127,14 +142,23 @@ def report_to_json(report: CsvReport) -> str:
             {"id": c.community, "size": c.size, "ucv": c.ucv, "wcv": c.wcv}
             for c in report.per_community
         ],
-        "tests": [
-            {"r": r, "s": s, "direction": direction, "n_obs": n_obs, "mu0": mu0,
-             "raw_p": raw_p, "adj_p": adj_p, "degenerate": degenerate}
-            for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate
-            in report.matrix.records()
-        ],
+        "tests": [],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    head = json.dumps(payload, indent=2)
+    f = _json_float
+    # Test directions are the enrichment module's plain-ASCII constants, so
+    # they need no escaping.
+    tests = ",\n".join(
+        f'    {{\n      "r": {r},\n      "s": {s},\n'
+        f'      "direction": "{direction}",\n      "n_obs": {n_obs},\n'
+        f'      "mu0": {f(mu0)},\n      "raw_p": {f(raw_p)},\n'
+        f'      "adj_p": {f(adj_p)},\n'
+        f'      "degenerate": {"true" if degenerate else "false"}\n    }}'
+        for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate
+        in report.matrix.records())
+    if tests:
+        head = head[:-len("[]\n}")] + f"[\n{tests}\n  ]\n}}"
+    return head + "\n"
 
 
 def _fmt(x: float) -> str:

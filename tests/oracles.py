@@ -4,16 +4,21 @@ The exact ones are computed with Fractions and math.comb, never with the
 package's own floating-point code paths. ``full_support_pmf`` and
 ``full_support_mid_p`` are the float64 reference for bit-identity: the
 whole-support pmf construction the package used before its pmfs stopped at
-float64 underflow.
+float64 underflow. ``pairwise_sample_graph`` is the blockmodel sampler that
+builds every node pair's probability; the package's sampler must match its
+edges, warning and random stream bit for bit.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
+from csvnet._rng import derive_rng
+from csvnet.graph import Graph
 from csvnet.stats import HypergeomParams
 
 
@@ -111,3 +116,54 @@ def linkage_reference(values) -> tuple[tuple[int, int, float], ...]:
         merges.append((i, j, float(d)))
         members[n + step] = members.pop(i) | members.pop(j)
     return tuple(merges)
+
+
+def pairwise_sample_graph(assignment, theta, weights, seed,
+                          labels: tuple[str, ...] | None = None) -> Graph:
+    """Draw one undirected graph from block rates over a fixed assignment.
+
+    Blocks referenced by ``assignment`` may be empty (theta rows for absent
+    blocks are simply unused). Uniform variates are consumed blockwise over
+    pairs r <= s in lexicographic order, skipping zero-rate blocks, which
+    makes the draw bit-reproducible for a given seed.
+    """
+    asg = np.asarray(assignment, dtype=np.int64)
+    theta = np.asarray(theta, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    v = asg.size
+    q = theta.shape[0]
+    if w.shape != (v,):
+        raise ValueError("one weight per node required")
+    if asg.size and (asg.min() < 0 or asg.max() >= q):
+        raise ValueError("assignment references a block outside theta")
+    rng = derive_rng(seed)
+    members = [np.flatnonzero(asg == r) for r in range(q)]
+    chunks: list[np.ndarray] = []
+    n_clamped = 0
+    for r in range(q):
+        for s in range(r, q):
+            rate = theta[r, s]
+            if rate == 0.0 or not members[r].size or not members[s].size:
+                continue
+            if r == s:
+                i_loc, j_loc = np.triu_indices(members[r].size, k=1)
+                u, vv = members[r][i_loc], members[r][j_loc]
+            else:
+                u = np.repeat(members[r], members[s].size)
+                vv = np.tile(members[s], members[r].size)
+            if not u.size:
+                continue
+            probs = w[u] * w[vv] * rate
+            n_clamped += int(np.count_nonzero(probs > 1.0))
+            np.minimum(probs, 1.0, out=probs)
+            mask = rng.random(probs.size) < probs
+            if mask.any():
+                chunks.append(np.stack([u[mask], vv[mask]], axis=1))
+    if n_clamped:
+        warnings.warn(f"clamped {n_clamped} pair probabilities to 1; "
+                      "weights or rates may be misconfigured", stacklevel=2)
+    edges = (np.concatenate(chunks) if chunks
+             else np.empty((0, 2), dtype=np.int64))
+    if labels is None:
+        labels = tuple(f"n{i}" for i in range(v))
+    return Graph(labels, edges)

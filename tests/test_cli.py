@@ -224,6 +224,40 @@ def test_generate_deterministic(tmp_path):
     assert read(outs[0][1]) == read(outs[1][1])
 
 
+def test_generate_theta_nan_is_a_range_error(tmp_path, capsys):
+    assert main(["generate", "--theta-within", "nan",
+                 "--out-graph", str(tmp_path / "g.tsv"),
+                 "--out-partition", str(tmp_path / "p.tsv")]) == 2
+    assert "theta entries must lie in [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_failed_partition_write_leaves_no_graph(tmp_path, capsys):
+    assert main(["generate", "--v", "40",
+                 "--out-graph", str(tmp_path / "x.tsv"),
+                 "--out-partition", str(tmp_path / "nodir" / "y.tsv")]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_successful_runs_leave_no_partial_files(triangles, tmp_path, capsys):
+    graph, partition = triangles
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [
+        ["generate", "--v", "40", "--out-graph", str(out / "g.tsv"),
+         "--out-partition", str(out / "p.tsv")],
+        ["validate", graph, partition, "--out", str(out / "report.json")],
+        ["cluster", graph, "--out", str(out / "clusters.tsv")],
+        ["simulate", "sim1", "--v", "40", "--grid", "0", "--replicates", "1",
+         "--out", str(out / "sim1.tsv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "clusters.tsv", "g.tsv", "p.tsv", "report.json", "sim1.tsv"]
+
+
 def test_cluster_two_triangles(triangles, capsys):
     graph, _ = triangles
     assert main(["cluster", graph]) == 0

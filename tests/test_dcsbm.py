@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from oracles import pairwise_sample_graph
 
 from csvnet.dcsbm import (
     DcsbmConfig,
@@ -17,6 +21,7 @@ from csvnet.dcsbm import (
     sample_theta_within,
     theta_matrix,
 )
+from csvnet._rng import derive_rng
 from csvnet.graph import Partition, observed_links
 
 
@@ -57,6 +62,8 @@ def test_config_validation():
         DcsbmConfig((2, 2), np.array([[0.3, 0.1], [0.2, 0.3]]), np.ones(4))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         DcsbmConfig((2, 2), np.full((2, 2), 1.5), np.ones(4))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        DcsbmConfig((2, 2), theta_matrix(np.nan, 0.1, 2), np.ones(4))
     with pytest.raises(ValueError, match="positive"):
         DcsbmConfig((0, 2), np.full((2, 2), 0.3), np.ones(2))
     with pytest.raises(ValueError, match="sum"):
@@ -152,6 +159,82 @@ def test_sample_graph_accepts_empty_blocks():
 def test_sample_graph_rejects_bad_assignment():
     with pytest.raises(ValueError):
         sample_graph(np.array([0, 3]), theta_matrix(0.5, 0.0, 2), np.ones(2), seed=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_sample_graph_rejects_nonpositive_weights(bad):
+    with pytest.raises(ValueError, match="positive"):
+        sample_graph(np.array([0, 0, 1]), theta_matrix(0.5, 0.1, 2),
+                     np.array([1.0, bad, 1.0]), seed=0)
+
+
+# --- equivalence with the pairwise oracle ----------------------------------------
+
+
+def _shuffled(sizes, seed: int) -> np.ndarray:
+    """Planted assignment in a random node order, so blocks interleave."""
+    return planted_partition(sizes).assignment[derive_rng(seed).permutation(sum(sizes))]
+
+
+def _powerlaw(assignment: np.ndarray, shape: float, seed: int) -> np.ndarray:
+    return powerlaw_weights(Partition(assignment, int(assignment.max()) + 1),
+                            shape=shape, seed=seed)
+
+
+def _oracle_cases():
+    mixed = np.array([0] * 5 + [2] + [3] * 6 + [4] * 4)  # block 1 empty, 2 single
+    mixed_theta = theta_matrix([0.5, 0.3, 0.7, 0.0, 0.4], 0.2)
+    mixed_theta[0, 3] = mixed_theta[3, 0] = 0.0
+    small = _shuffled((60, 50, 40), 1)
+    heavy = _shuffled((30, 20), 2)
+    large = planted_partition((400, 300, 300)).assignment
+    near = _shuffled((40, 30), 3)
+    near_weights = np.where(np.arange(near.size) % 2, 1.1, 0.9)
+    return {
+        "uniform": (small, theta_matrix(0.3, 0.05, 3), np.ones(small.size)),
+        "powerlaw": (small, theta_matrix(0.1, 0.02, 3), _powerlaw(small, 3.0, 3)),
+        "clamped": (heavy, theta_matrix(0.9, 0.5, 2), _powerlaw(heavy, 1.2, 4)),
+        "clamped just above 1": (near, theta_matrix(0.85, 0.3, 2), near_weights),
+        "empty, zero-rate and single-node blocks": (mixed, mixed_theta,
+                                                    np.ones(mixed.size)),
+        "beyond one buffer": (large, theta_matrix(0.02, 0.005, 3),
+                              _powerlaw(large, 3.0, 5)),
+        "clamped beyond one buffer": (large, theta_matrix(0.6, 0.3, 3),
+                                      _powerlaw(large, 1.2, 6)),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def _draw(sampler, assignment, theta, weights, seed):
+    """Edge bytes, warning texts and the next uniform of the caller's stream."""
+    rng = derive_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = sampler(assignment, theta, weights, rng)
+    return graph.edges.tobytes(), [str(w.message) for w in caught], rng.random()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sample_graph_matches_pairwise_oracle(case):
+    assignment, theta, weights = ORACLE_CASES[case]
+    for seed in (0, 1):
+        got = _draw(sample_graph, assignment, theta, weights, seed)
+        assert got == _draw(pairwise_sample_graph, assignment, theta, weights, seed)
+        assert got[0], "every case samples some edges"
+        assert bool(got[1]) == case.startswith("clamped")
+
+
+def test_sample_graph_memory_is_bounded():
+    assignment = planted_partition((1500, 1500)).assignment
+    tracemalloc.start()
+    try:
+        sample_graph(assignment, theta_matrix(0.01, 0.01, 2), np.ones(3000), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- degradation ----------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_partition_round_trip(tmp_path):
     g = triangle()
     p = Partition(np.array([0, 0, 1]), 2)
     f = tmp_path / "p.tsv"
-    save_partition(p, g, f)
+    save_partition(p, g.node_labels, f)
     assert load_partition(f, g).assignment.tolist() == [0, 0, 1]
 
 

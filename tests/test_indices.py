@@ -218,3 +218,44 @@ def test_report_serialization_round_trip():
     assert lines[0].startswith("# csvnet report schema_version=1")
     kinds = [line.split("\t")[0] for line in lines[1:]]
     assert kinds == ["index"] * 3 + ["community"] * 2 + ["test"] * 3
+
+
+def _json_dumps_report(report) -> str:
+    """The report as ``json.dumps`` lays it out, for the direct writer."""
+    payload = {
+        "schema_version": 1,
+        "alpha": report.alpha,
+        "directed": report.matrix.directed,
+        "q": report.matrix.q,
+        "ucsv": report.ucsv,
+        "wcsv": report.wcsv,
+        "communities": [
+            {"id": c.community, "size": c.size, "ucv": c.ucv, "wcv": c.wcv}
+            for c in report.per_community
+        ],
+        "tests": [
+            {"r": t.r, "s": t.s, "direction": t.direction, "n_obs": t.n_obs,
+             "mu0": t.mu0, "raw_p": t.raw_p, "adj_p": t.adj_p,
+             "degenerate": t.degenerate}
+            for t in report.matrix.results
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _json_cases():
+    g, p = two_triangles()
+    arrows = Graph(tuple("abcdef"), g.edges, directed=True)
+    # Community 2 is empty, as degrade_partition may leave one.
+    return {
+        "directed": csv_report(arrows, p),
+        "empty community": csv_report(g, Partition(p.assignment, 3)),
+        "q=1": csv_report(g, Partition(np.zeros(6, dtype=int), 1)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:.*degenerate")
+@pytest.mark.parametrize("case", ["directed", "empty community", "q=1"])
+def test_report_to_json_equals_json_dumps(case):
+    report = _json_cases()[case]
+    assert report_to_json(report) == _json_dumps_report(report)
