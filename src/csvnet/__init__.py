@@ -48,8 +48,6 @@ from .enrichment import (
     EnrichmentMatrix,
     EnrichmentResult,
     enrichment_matrix,
-    test_between,
-    test_within,
 )
 from .graph import (
     Graph,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from collections.abc import Callable
 from itertools import compress
@@ -54,9 +53,9 @@ from .simharness import (
 )
 
 
-def _write_files(writers: dict[str, Callable[[Path], None]]) -> None:
+def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:
     """Call each writer on a partial file ``.<name>.partial-<pid>`` beside its
-    target, then move every file into place, so a failed run leaves no
+    target, then move every file into place, so a failed writer leaves no
     target written and no partial file behind."""
     partials: dict[Path, Path] = {}
     try:
@@ -75,12 +74,15 @@ def _write_files(writers: dict[str, Callable[[Path], None]]) -> None:
             partial.unlink(missing_ok=True)
 
 
+def _text_writer(text: str) -> Callable[[Path], None]:
+    return lambda path: path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_files({path: lambda p: p.write_text(text, encoding="utf-8",
-                                                   newline="\n")})
+        _write_files({path: _text_writer(text)})
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -103,26 +105,6 @@ def _unique_names(paths: list[str]) -> list[str]:
         used[stem] = count
         names.append(stem if count == 1 else f"{stem}-{count}")
     return names
-
-
-def _write_dir(out_dir: Path, files: dict[str, str]) -> None:
-    """Write ``files`` into a sibling temporary directory, then move it into
-    place, so a failed write never leaves a partial output directory."""
-    out_dir = Path(os.path.abspath(out_dir))
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
-    tmp.mkdir()
-    try:
-        for name, text in files.items():
-            (tmp / name).write_text(text, encoding="utf-8", newline="\n")
-        if out_dir.exists():
-            for name in files:
-                os.replace(tmp / name, out_dir / name)
-            tmp.rmdir()
-        else:
-            tmp.rename(out_dir)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -165,14 +147,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "error": p.error,
         } for p in result.per_pair],
     }
-    out_dir = Path(args.out_dir)
-    _write_dir(out_dir, {
+    files = {
         "R.tsv": matrix_tsv(result.names, result.r_matrix),
         "S.tsv": matrix_tsv(result.names, result.s_matrix),
         "D.tsv": matrix_tsv(result.names, result.d_matrix.values),
         "dendrogram.nwk": to_newick(result.dendrogram()) + "\n",
         "summary.json": json.dumps(summary, indent=2) + "\n",
-    })
+    }
+    out_dir = Path(args.out_dir)
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        _write_files({out_dir / name: _text_writer(text) for name, text in files.items()})
+    except OSError:
+        # A directory this run made holds nothing but this run's files.
+        if created:
+            for name in files:
+                (out_dir / name).unlink(missing_ok=True)
+            out_dir.rmdir()
+        raise
     print(f"compared {len(result.names)} graphs; wrote 5 files to {out_dir}")
     return 0
 

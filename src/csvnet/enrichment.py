@@ -4,6 +4,10 @@ Each community is tested for overenrichment of internal links and each
 community pair for underenrichment of cross links, under a hypergeometric
 null parameterized by total degrees. Raw mid-p-values are adjusted with
 Benjamini-Hochberg across the whole family of tests at once.
+
+The family is only ever built whole, by :func:`enrichment_matrix`, from one
+bincount of links per community pair and one :func:`mid_p_family` call;
+single tests are read back through :meth:`EnrichmentMatrix.result`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, Partition, observed_links, out_in_degree, total_degree
-from .stats import HypergeomParams, bh_adjust, lower_mid_p, mid_p_family, upper_mid_p
+from .graph import Graph, Partition
+# lower_mid_p and upper_mid_p are not called here, but perfbench/traced.py
+# wraps this module's bindings of them (and of bh_adjust).
+from .stats import bh_adjust, lower_mid_p, mid_p_family, upper_mid_p
 
 WITHIN_OVER = "within-over"
 BETWEEN_UNDER = "between-under"
@@ -24,6 +30,7 @@ BETWEEN_UNDER = "between-under"
 DEGENERATE_P = 0.5
 
 
+# Kept beside the columns for lookups, and because perfbench/traced.py reads it.
 @dataclass(frozen=True)
 class EnrichmentResult:
     """Outcome of one enrichment test between communities ``r`` and ``s``."""
@@ -96,6 +103,7 @@ class EnrichmentMatrix:
         cols = [getattr(self, name).tolist() for name in _COLUMNS]
         return zip(cols[0], cols[1], direction, *cols[2:])
 
+    # Backs result(); perfbench/traced.py also counts tests through it.
     @cached_property
     def results(self) -> tuple[EnrichmentResult, ...]:
         """Read-only per-test view, built on first access."""
@@ -111,69 +119,6 @@ class EnrichmentMatrix:
         if not self.directed and r > s:
             key = (s, r)
         return self._by_pair[key]
-
-
-def _community_nodes(partition: Partition, r: int) -> np.ndarray:
-    if not 0 <= r < partition.q:
-        raise ValueError(f"community id {r} out of range")
-    return np.flatnonzero(partition.assignment == r)
-
-
-def _check_pair(graph: Graph, partition: Partition) -> None:
-    if partition.n_nodes != graph.n_nodes:
-        raise ValueError("partition does not match graph size")
-
-
-def test_within(graph: Graph, partition: Partition, r: int) -> EnrichmentResult:
-    """Overenrichment test of community ``r`` against the hypergeometric null."""
-    _check_pair(graph, partition)
-    nodes = _community_nodes(partition, r)
-    if graph.directed:
-        n_total = graph.n_edges
-        out_r, in_r = out_in_degree(graph, nodes)
-        params = HypergeomParams(n_total, in_r, out_r)
-        degenerate = bool(out_r == 0 or in_r == 0)
-    else:
-        d_r = total_degree(graph, nodes)
-        params = HypergeomParams(2 * graph.n_edges, d_r, d_r)
-        degenerate = d_r == 0
-    n_obs = observed_links(graph, nodes, nodes) if nodes.size else 0
-    if degenerate:
-        warnings.warn(f"community {r} has no usable stubs; test flagged degenerate",
-                      stacklevel=2)
-        raw = DEGENERATE_P
-    else:
-        raw = upper_mid_p(n_obs, params)
-    return EnrichmentResult(r, r, WITHIN_OVER, n_obs, params.mean, raw,
-                            degenerate=degenerate)
-
-
-def test_between(graph: Graph, partition: Partition, r: int, s: int) -> EnrichmentResult:
-    """Underenrichment test of the links from community ``r`` to ``s``."""
-    _check_pair(graph, partition)
-    if r == s:
-        raise ValueError("between test requires distinct communities")
-    nodes_r = _community_nodes(partition, r)
-    nodes_s = _community_nodes(partition, s)
-    if graph.directed:
-        out_r, _ = out_in_degree(graph, nodes_r)
-        _, in_s = out_in_degree(graph, nodes_s)
-        params = HypergeomParams(graph.n_edges, in_s, out_r)
-        degenerate = bool(out_r == 0 or in_s == 0)
-    else:
-        d_r = total_degree(graph, nodes_r)
-        d_s = total_degree(graph, nodes_s)
-        params = HypergeomParams(2 * graph.n_edges, d_s, d_r)
-        degenerate = bool(d_r == 0 or d_s == 0)
-    n_obs = observed_links(graph, nodes_r, nodes_s) if nodes_r.size and nodes_s.size else 0
-    if degenerate:
-        warnings.warn(f"pair ({r}, {s}) has no usable stubs; test flagged degenerate",
-                      stacklevel=2)
-        raw = DEGENERATE_P
-    else:
-        raw = lower_mid_p(n_obs, params)
-    return EnrichmentResult(r, s, BETWEEN_UNDER, n_obs, params.mean, raw,
-                            degenerate=degenerate)
 
 
 def _block_counts(graph: Graph, partition: Partition) -> np.ndarray:
@@ -195,7 +140,8 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
     tests lexicographically (undirected keeps r < s; directed keeps both
     orientations).
     """
-    _check_pair(graph, partition)
+    if partition.n_nodes != graph.n_nodes:
+        raise ValueError("partition does not match graph size")
     q = partition.q
     asg = partition.assignment
     if graph.directed:

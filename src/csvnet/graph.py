@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -277,45 +277,6 @@ def save_partition(partition: Partition, labels: Sequence[str], path: str | Path
     Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
-def total_degree(graph: Graph, nodes) -> int:
-    """Sum of degrees over ``nodes``; the whole-graph value is 2|E| (undirected)."""
-    idx = _as_index_array(graph, nodes)
-    return int(graph.degrees[idx].sum())
-
-
-def out_in_degree(graph: Graph, nodes) -> tuple[int, int]:
-    """(outdegree, indegree) of a node set in a directed graph."""
-    if not graph.directed:
-        raise ValueError("out_in_degree requires a directed graph")
-    idx = _as_index_array(graph, nodes)
-    return int(graph.out_degrees[idx].sum()), int(graph.in_degrees[idx].sum())
-
-
-def observed_links(graph: Graph, a, b) -> int:
-    """Number of links from node set ``a`` to node set ``b``.
-
-    Undirected with ``a == b`` (same membership): counts edge stubs, i.e.
-    twice the number of internal edges, so the hypergeometric null "draw
-    d_a stubs out of d_V" stays consistent. Undirected with disjoint sets:
-    edges with one endpoint in each. Directed: arrows from ``a`` to ``b``.
-    """
-    a_idx = _as_index_array(graph, a)
-    b_idx = _as_index_array(graph, b)
-    in_a = np.zeros(graph.n_nodes, dtype=bool)
-    in_a[a_idx] = True
-    in_b = np.zeros(graph.n_nodes, dtype=bool)
-    in_b[b_idx] = True
-    same = bool(np.array_equal(in_a, in_b))
-    if not same and np.any(in_a & in_b):
-        raise ValueError("node sets must be disjoint unless identical")
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    if graph.directed:
-        return int(np.count_nonzero(in_a[u] & in_b[v]))
-    if same:
-        return 2 * int(np.count_nonzero(in_a[u] & in_a[v]))
-    return int(np.count_nonzero((in_a[u] & in_b[v]) | (in_b[u] & in_a[v])))
-
-
 def induced_subgraph(graph: Graph, keep) -> Graph:
     """Subgraph on ``keep`` (a set of node labels) with all surviving edges."""
     keep = set(keep)
@@ -330,9 +291,3 @@ def induced_subgraph(graph: Graph, keep) -> Graph:
     new_edges = np.stack([remap[u[mask]], remap[v[mask]]], axis=1)
     return Graph(tuple(kept), new_edges, directed=graph.directed)
 
-
-def _as_index_array(graph: Graph, nodes) -> np.ndarray:
-    idx = np.asarray(sorted(int(i) for i in nodes), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= graph.n_nodes):
-        raise ValueError("node index out of range")
-    return idx

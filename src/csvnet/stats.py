@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from math import lgamma
 
 import numpy as np
 
@@ -62,10 +61,6 @@ class HypergeomParams:
     def support(self) -> tuple[int, int]:
         return max(0, self.n + self.K - self.N), min(self.n, self.K)
 
-    @property
-    def mean(self) -> float:
-        return self.n * self.K / self.N if self.N > 0 else 0.0
-
     @cached_property
     def pmf(self) -> np.ndarray:
         """Unit-normalized pmf over the support, indexed from support[0]:
@@ -73,15 +68,6 @@ class HypergeomParams:
         ((_, pmf),) = support_pmfs(self.N, self.K, self.n)
         pmf.setflags(write=False)
         return pmf
-
-
-def log_choose(n: int, k: int) -> float:
-    """ln C(n, k); -inf when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return -np.inf
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 def _supports(N: np.ndarray, K: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -86,6 +86,28 @@ def bh_reference(pvalues: list[float]) -> list[float]:
     return out
 
 
+def block_link_counts(graph: Graph, assignment, q: int
+                      ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Per-edge Python count of the test family's inputs for ``q`` communities.
+
+    Returns ``(links, outs, ins)``: ``links[r][s]`` counts links from
+    community r to s (undirected: each edge both ways, so the diagonal holds
+    stubs, twice the internal edges), and ``outs[r]``/``ins[r]`` sum the
+    out/in stubs of r's nodes (undirected: both are the degree sums).
+    """
+    asg = [int(c) for c in assignment]
+    links = [[0] * q for _ in range(q)]
+    outs, ins = [0] * q, [0] * q
+    arrows = graph.edges.tolist()
+    if not graph.directed:
+        arrows += [[v, u] for u, v in arrows]
+    for u, v in arrows:
+        links[asg[u]][asg[v]] += 1
+        outs[asg[u]] += 1
+        ins[asg[v]] += 1
+    return links, outs, ins
+
+
 def random_params(rng: np.random.Generator, n_max: int = 60) -> HypergeomParams:
     N = int(rng.integers(0, n_max + 1))
     K = int(rng.integers(0, N + 1))

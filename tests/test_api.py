@@ -1,0 +1,50 @@
+"""The package's public surface: exported names, test-like names, and the
+module bindings that the benchmark's tracer wraps."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import csvnet
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def csvnet_modules():
+    return [importlib.import_module(f"csvnet.{info.name}")
+            for info in pkgutil.iter_modules(csvnet.__path__)
+            if info.name != "__main__"]
+
+
+def test_all_names_resolve():
+    missing = [name for name in csvnet.__all__ if not hasattr(csvnet, name)]
+    assert missing == []
+
+
+def test_no_public_callable_looks_like_a_test():
+    # pytest collects any callable named test* that a test module imports.
+    found = [f"{module.__name__}.{name}"
+             for module in [csvnet, *csvnet_modules()]
+             for name, value in vars(module).items()
+             if name.startswith("test") and callable(value)]
+    assert found == []
+
+
+def traced_bindings() -> list[tuple[str, str, str]]:
+    """``BINDINGS`` of perfbench/traced.py, read from its source."""
+    for node in ast.parse(TRACED.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["BINDINGS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no BINDINGS list in {TRACED}")
+
+
+def test_traced_bindings_resolve():
+    bindings = traced_bindings()
+    assert bindings
+    missing = [f"csvnet.{module}.{attr}" for module, attr, _ in bindings
+               if not hasattr(importlib.import_module(f"csvnet.{module}"), attr)]
+    assert missing == []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,33 @@ def test_compare_overwrites_existing_out_dir(tmp_path):
     assert read(out_dir / "R.tsv").startswith("name\th0\th1\n")
     assert read(out_dir / "keep.txt") == "mine\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h0.tsv", "h1.tsv", "out"]
+
+
+def test_compare_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    paths = [clique_pair_file(tmp_path, f"h{i}.tsv", k=6 + i) for i in range(2)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n", encoding="utf-8")
+    assert main(["compare", *paths, "--out-dir", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert read(blocker) == "a file, not a directory\n"
+    blocker.unlink()
+    # The directory is made, but moving the third file into place fails:
+    # the run removes the files it moved and the directory it made.
+    real_replace = os.replace
+    moved = []
+
+    def failing_replace(src, dst):
+        if len(moved) == 2:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        moved.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["compare", *paths, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert len(moved) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_compare_single_graph_exits_2(tmp_path, capsys):

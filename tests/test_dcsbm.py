@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import pairwise_sample_graph
+from oracles import block_link_counts, pairwise_sample_graph
 
 from csvnet.dcsbm import (
     DcsbmConfig,
@@ -22,7 +22,7 @@ from csvnet.dcsbm import (
     theta_matrix,
 )
 from csvnet._rng import derive_rng
-from csvnet.graph import Partition, observed_links
+from csvnet.graph import Partition
 
 
 def uniform_config(v: int, p: int, within: float, between: float,
@@ -141,9 +141,9 @@ def test_within_block_density_tracks_theta():
         cfg = DcsbmConfig(sizes, theta_matrix(theta_rr, 0.0, 2), np.ones(120),
                           seed=100 + rep)
         g, p = sample_dcsbm(cfg)
-        comms = p.communities()
-        for c in comms:
-            densities.append(observed_links(g, c, c) / 2 / n_pairs)
+        links, _, _ = block_link_counts(g, p.assignment, p.q)
+        for r in range(p.q):
+            densities.append(links[r][r] / 2 / n_pairs)
     mean = float(np.mean(densities))
     se = float(np.std(densities, ddof=1) / np.sqrt(len(densities)))
     assert abs(mean - theta_rr) < 4 * se + 1e-9

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import bh_reference, exact_lower_mid_p, exact_pmf, exact_upper_mid_p
+from oracles import (
+    bh_reference,
+    block_link_counts,
+    exact_lower_mid_p,
+    exact_pmf,
+    exact_upper_mid_p,
+)
 
 import csvnet.enrichment as enr
 from csvnet.enrichment import (
@@ -36,12 +43,19 @@ def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
     return Graph(tuple(f"n{i}" for i in range(n)), sorted(pairs))
 
 
-# --- single tests ------------------------------------------------------------
+def orient_randomly(rng: np.random.Generator, g: Graph) -> Graph:
+    """Directed copy of ``g`` with each edge pointing either way."""
+    flip = rng.random(g.n_edges) < 0.5
+    return Graph(g.node_labels, np.where(flip[:, None], g.edges[:, ::-1], g.edges),
+                 directed=True)
+
+
+# --- single tests, read from the family --------------------------------------
 
 
 def test_within_two_triangles():
     g, p = two_triangles()
-    res = enr.test_within(g, p, 0)
+    res = enrichment_matrix(g, p).result(0, 0)
     assert res.direction == WITHIN_OVER
     assert res.n_obs == 6
     assert res.mu0 == pytest.approx(6 * 6 / 12)
@@ -54,13 +68,13 @@ def test_within_two_triangles():
 
 def test_between_two_triangles():
     g, p = two_triangles()
-    res = enr.test_between(g, p, 0, 1)
+    m = enrichment_matrix(g, p)
+    res = m.result(0, 1)
     assert res.direction == BETWEEN_UNDER
     assert res.n_obs == 0
     expect = float(Fraction(1, 2) * exact_pmf(0, 12, 6, 6))
     assert res.raw_p == pytest.approx(expect, abs=1e-14)
-    with pytest.raises(ValueError):
-        enr.test_between(g, p, 1, 1)
+    assert m.result(1, 1).direction == WITHIN_OVER
 
 
 def test_within_complete_graph_single_community():
@@ -68,7 +82,7 @@ def test_within_complete_graph_single_community():
     g = Graph(tuple(f"n{i}" for i in range(n)),
               [(i, j) for i in range(n) for j in range(i + 1, n)])
     p = Partition(np.zeros(n, dtype=int), 1)
-    res = enr.test_within(g, p, 0)
+    res = enrichment_matrix(g, p).result(0, 0)
     # observed count sits at the support maximum, so only half its mass is above
     assert res.n_obs == 2 * g.n_edges
     assert res.raw_p == pytest.approx(0.5, abs=1e-14)
@@ -78,7 +92,7 @@ def test_within_isolated_community_degenerate():
     g = Graph(("a", "b", "c"), [(0, 1)])
     p = Partition(np.array([0, 0, 1]), 2)
     with pytest.warns(UserWarning, match="degenerate"):
-        res = enr.test_within(g, p, 1)
+        res = enrichment_matrix(g, p).result(1, 1)
     assert res.degenerate and res.raw_p == 0.5
 
 
@@ -86,7 +100,7 @@ def test_between_k33_sides_near_one():
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
     g = Graph(tuple("abcdef"), edges)
     p = Partition(np.array([0, 0, 0, 1, 1, 1]), 2)
-    res = enr.test_between(g, p, 0, 1)
+    res = enrichment_matrix(g, p).result(0, 1)
     assert res.n_obs == 9
     expect = float(exact_lower_mid_p(9, 18, 9, 9))
     assert res.raw_p == pytest.approx(expect, abs=1e-14)
@@ -96,8 +110,8 @@ def test_between_k33_sides_near_one():
 def test_single_edge_singletons():
     g = Graph(("a", "b"), [(0, 1)])
     p = Partition(np.array([0, 1]), 2)
-    within = enr.test_within(g, p, 0)
-    between = enr.test_between(g, p, 0, 1)
+    m = enrichment_matrix(g, p)
+    within, between = m.result(0, 0), m.result(0, 1)
     assert within.raw_p == pytest.approx(0.75, abs=1e-14)
     assert between.raw_p == pytest.approx(0.75, abs=1e-14)
     assert between.raw_p >= 0.5
@@ -107,12 +121,54 @@ def test_directed_tests():
     g = Graph(("a", "b", "c"), [(0, 1), (1, 2)], directed=True)
     p = Partition(np.array([0, 1, 2]), 3)
     with pytest.warns(UserWarning, match="degenerate"):
-        res_a = enr.test_within(g, p, 0)  # indegree of {a} is 0
+        m = enrichment_matrix(g, p)
+    res_a = m.result(0, 0)  # indegree of {a} is 0
     assert res_a.degenerate and res_a.raw_p == 0.5
-    res_ab = enr.test_between(g, p, 0, 1)
+    res_ab = m.result(0, 1)
     assert res_ab.n_obs == 1
     assert res_ab.raw_p == pytest.approx(float(exact_lower_mid_p(1, 2, 1, 1)), abs=1e-14)
     assert res_ab.raw_p == pytest.approx(0.75, abs=1e-14)
+    assert m.result(1, 0).n_obs == 0
+
+
+# --- oracle counts -----------------------------------------------------------
+
+
+def test_oracle_counts_small_graphs():
+    triangle = Graph(("a", "b", "c"), [(0, 1), (1, 2), (0, 2)])
+    links, outs, ins = block_link_counts(triangle, [0, 0, 0], 1)
+    assert links == [[6]] and outs == ins == [6]
+    path3 = Graph(("a", "b", "c"), [(0, 1), (1, 2)])
+    links, outs, _ = block_link_counts(path3, [0, 1, 0], 2)
+    assert links == [[0, 2], [2, 0]] and outs == [2, 2]
+    links, outs, _ = block_link_counts(path3, [0, 1, 2], 3)
+    assert links[0][2] == 0 and outs == [1, 2, 1]
+    arrows = Graph(("a", "b", "c"), [(0, 1), (1, 2), (0, 2)], directed=True)
+    links, outs, ins = block_link_counts(arrows, [0, 1, 1], 2)
+    assert links == [[0, 2], [0, 1]]
+    assert outs == [2, 1] and ins == [0, 3]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_block_counts_and_stub_sums_match_oracle(directed):
+    rng = np.random.default_rng(16 + directed)
+    for trial in range(25):
+        n = int(rng.integers(2, 25))
+        g = random_graph(rng, n, int(rng.integers(1, 3 * n)))
+        if directed:
+            g = orient_randomly(rng, g)
+        q = 1 if trial == 0 else int(rng.integers(1, 6))
+        asg = rng.integers(0, q, size=n)
+        if trial == 1:
+            q += 1  # the last community is empty
+        p = Partition(asg, q)
+        links, outs, ins = block_link_counts(g, asg, q)
+        assert enr._block_counts(g, p).tolist() == links
+        if directed:
+            assert np.bincount(asg, weights=g.out_degrees, minlength=q).tolist() == outs
+            assert np.bincount(asg, weights=g.in_degrees, minlength=q).tolist() == ins
+        else:
+            assert np.bincount(asg, weights=g.degrees, minlength=q).tolist() == outs == ins
 
 
 # --- matrix assembly ---------------------------------------------------------
@@ -136,23 +192,31 @@ def test_matrix_sizes_and_order():
 
 
 def test_matrix_matches_single_tests_and_bh():
+    """Each test of the family against the per-edge oracle counts and the
+    exact rational mid-p, directed and undirected; BH against its definition."""
     rng = np.random.default_rng(13)
-    for _ in range(10):
+    for trial in range(20):
         n = int(rng.integers(8, 20))
         g = random_graph(rng, n, int(rng.integers(n, 3 * n)))
+        if trial % 2:
+            g = orient_randomly(rng, g)
         q = int(rng.integers(2, 5))
         asg = rng.integers(0, q, size=n)
-        if len(set(asg.tolist())) < q:
-            continue
         p = Partition(asg, q)
-        m = enrichment_matrix(g, p)
+        links, outs, ins = block_link_counts(g, asg, q)
+        n_total = g.n_edges if g.directed else 2 * g.n_edges
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty communities
+            m = enrichment_matrix(g, p)
         for res in m.results:
-            single = (enr.test_within(g, p, res.r) if res.r == res.s
-                      else enr.test_between(g, p, res.r, res.s))
-            assert res.n_obs == single.n_obs
-            assert res.raw_p == single.raw_p
-            assert res.mu0 == single.mu0
-            assert res.degenerate == single.degenerate
+            n_draw, n_succ = outs[res.r], ins[res.s]
+            assert res.n_obs == links[res.r][res.s]
+            assert res.mu0 == n_draw * n_succ / n_total
+            assert res.degenerate == (n_draw == 0 or n_succ == 0)
+            exact = exact_upper_mid_p if res.r == res.s else exact_lower_mid_p
+            expect = (0.5 if res.degenerate
+                      else float(exact(res.n_obs, n_total, n_succ, n_draw)))
+            assert res.raw_p == pytest.approx(expect, rel=1e-12, abs=1e-15)
         raws = [res.raw_p for res in m.results]
         np.testing.assert_allclose([res.adj_p for res in m.results],
                                    bh_reference(raws), rtol=0, atol=0)
@@ -208,6 +272,8 @@ def test_result_lookup_and_validation():
     g, p = two_triangles()
     m = enrichment_matrix(g, p)
     assert m.result(1, 0) is m.result(0, 1)
+    with pytest.raises(ValueError, match="graph size"):
+        enrichment_matrix(g, Partition(np.zeros(5, dtype=int), 1))
     with pytest.raises(ValueError):
         EnrichmentResult(0, 0, BETWEEN_UNDER, 0, 0.0, 0.5)
     with pytest.raises(ValueError):

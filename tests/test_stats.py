@@ -6,9 +6,6 @@ Fraction-arithmetic oracles in tests/oracles.py.
 
 from __future__ import annotations
 
-import math
-from math import comb
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,29 +24,11 @@ from csvnet.stats import (
     HypergeomParams,
     bh_adjust,
     hypergeom_pmf,
-    log_choose,
     lower_mid_p,
     mid_p_family,
     support_pmfs,
     upper_mid_p,
 )
-
-
-# --- log_choose -------------------------------------------------------------
-
-
-def test_log_choose_values():
-    assert log_choose(5, 2) == pytest.approx(math.log(10), abs=1e-12)
-    for n in (0, 1, 7, 100):
-        assert log_choose(n, 0) == 0.0
-    assert log_choose(4, 5) == -np.inf
-    assert log_choose(4, -1) == -np.inf
-
-
-def test_log_choose_matches_comb():
-    for n in range(0, 80):
-        for k in range(0, n + 1):
-            assert log_choose(n, k) == pytest.approx(math.log(comb(n, k)), abs=1e-11)
 
 
 # --- pmf --------------------------------------------------------------------
