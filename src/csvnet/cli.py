@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import errno
 import json
 import os
 import sys
@@ -56,7 +58,11 @@ from .simharness import (
 def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:
     """Call each writer on a partial file ``.<name>.partial-<pid>`` beside its
     target, then move every file into place, so a failed writer leaves no
-    target written and no partial file behind."""
+    target written and no partial file behind. A target that is a directory
+    (not a symlink, which is replaced) fails before anything is written."""
+    for target in map(Path, writers):
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     partials: dict[Path, Path] = {}
     try:
         for target, write in writers.items():
@@ -132,20 +138,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "use_wcsv": args.wcsv,
         "names": list(result.names),
         "failed_pairs": len(failures),
-        "pairs": [{
-            "name_i": p.name_i,
-            "name_j": p.name_j,
-            "n_common": p.n_common,
-            "r_ij": p.r_ij,
-            "r_ji": p.r_ji,
-            "defined_ij": p.defined_ij,
-            "defined_ji": p.defined_ji,
-            "own_index_i": p.own_index_i,
-            "own_index_j": p.own_index_j,
-            "q_i": p.q_i,
-            "q_j": p.q_j,
-            "error": p.error,
-        } for p in result.per_pair],
+        "pairs": [dataclasses.asdict(p) for p in result.per_pair],
     }
     files = {
         "R.tsv": matrix_tsv(result.names, result.r_matrix),
@@ -176,32 +169,36 @@ def _generate_settings(args: argparse.Namespace) -> dict:
                 "seed": args.seed}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # Any number may be an int; an int weight_mode fails further down.
+        wrong = sorted(key for key, value in loaded.items()
+                       if not isinstance(value, (int, type(settings[key]))))
+        if wrong:
+            raise ValueError(f"config keys of the wrong type: {wrong}")
         settings.update(loaded)
-    for field in ("v", "blocks", "theta_within", "theta_between"):
+    for field in ("v", "blocks", "theta_within", "theta_between", "weight_mode"):
         flag = getattr(args, field)
         if flag is not None:
             settings[field] = flag
-    if args.weight_mode is not None:
-        settings["weight_mode"] = args.weight_mode
     return settings
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     s = _generate_settings(args)
-    sizes = equal_block_sizes(int(s["v"]), int(s["blocks"]))
+    sizes = equal_block_sizes(s["v"], s["blocks"])
     partition = planted_partition(sizes)
     if s["weight_mode"] == "uniform":
-        weights = np.ones(int(s["v"]))
+        weights = np.ones(s["v"])
     elif s["weight_mode"] == "powerlaw":
         weights = powerlaw_weights(partition, seed=derive_rng(s["seed"], 101))
     else:
         raise ValueError(f"unknown weight_mode {s['weight_mode']!r}")
-    theta = theta_matrix(float(s["theta_within"]), float(s["theta_between"]),
-                         int(s["blocks"]))
-    config = DcsbmConfig(sizes, theta, weights, seed=int(s["seed"]))
+    theta = theta_matrix(s["theta_within"], s["theta_between"], s["blocks"])
+    config = DcsbmConfig(sizes, theta, weights, seed=s["seed"])
     graph, partition = sample_dcsbm(config)
     if graph.n_edges == 0:
         raise ValueError("generated graph has no edges; raise theta or v")

@@ -320,10 +320,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.leaf_labels)
 
-    def height_of(self, ref: int) -> float:
-        n = self.n_leaves
-        return 0.0 if ref < n else self.merges[ref - n][2]
-
 
 def complete_linkage(dist: DistanceMatrix) -> Dendrogram:
     """Agglomerate by minimal maximum pairwise distance.

@@ -130,8 +130,7 @@ def sample_theta_within(mean: float, halfwidth: float, q: int, seed) -> np.ndarr
     return rng.uniform(lo, hi, size=q)
 
 
-def sample_graph(assignment, theta, weights, seed,
-                 labels: tuple[str, ...] | None = None) -> Graph:
+def sample_graph(assignment, theta, weights, seed) -> Graph:
     """Draw one undirected graph from block rates over a fixed assignment.
 
     Blocks referenced by ``assignment`` may be empty (theta rows for absent
@@ -206,16 +205,13 @@ def sample_graph(assignment, theta, weights, seed,
                       "weights or rates may be misconfigured", stacklevel=2)
     edges = (np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
              if heads else np.empty((0, 2), dtype=np.int64))
-    if labels is None:
-        labels = tuple(f"n{i}" for i in range(v))
-    return Graph(labels, edges)
+    return Graph(tuple(f"n{i}" for i in range(v)), edges)
 
 
-def sample_dcsbm(config: DcsbmConfig, seed=None) -> tuple[Graph, Partition]:
+def sample_dcsbm(config: DcsbmConfig) -> tuple[Graph, Partition]:
     """Sample one graph plus its planted partition from a validated config."""
     partition = planted_partition(config.block_sizes)
-    graph = sample_graph(partition.assignment, config.theta, config.weights,
-                         config.seed if seed is None else seed)
+    graph = sample_graph(partition.assignment, config.theta, config.weights, config.seed)
     return graph, partition
 
 

@@ -3,14 +3,13 @@
 Graphs are label-addressed on the outside and integer-indexed internally.
 Undirected edges are stored canonically with ``u <= v``; directed graphs
 store arrows as ordered pairs. Self-loops and duplicate edges are rejected
-by the constructor and silently cleaned (with a summary warning) by
-:func:`load_graph`.
+by the constructor; :func:`load_graph` drops them with a summary warning.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,8 +28,8 @@ class GraphFormatError(ValueError):
 class Graph:
     """A loop-free simple graph with string node labels.
 
-    Immutable after construction; edge arrays are marked read-only so the
-    instance can be shared freely across threads.
+    Immutable after construction: the edge array and the cached degree and
+    adjacency arrays are marked read-only.
     """
 
     node_labels: tuple[str, ...]
@@ -170,61 +169,57 @@ def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partitio
                          if len(missing) > 1 else f"uncovered node {missing[0]!r}")
     extra = set(mapping) - set(graph.node_labels)
     if extra:
-        lab = sorted(extra)[0]
-        raise ValueError(f"unknown node label {lab!r}")
+        raise ValueError(f"unknown node label {min(extra)!r}")
     ids: dict[object, int] = {}
-    assignment = np.empty(graph.n_nodes, dtype=np.int64)
-    for i, lab in enumerate(graph.node_labels):
-        c = mapping[lab]
-        if c not in ids:
-            ids[c] = len(ids)
-        assignment[i] = ids[c]
-    return Partition(assignment, len(ids))
+    assignment = [ids.setdefault(mapping[lab], len(ids)) for lab in graph.node_labels]
+    return Partition(np.array(assignment, dtype=np.int64), len(ids))
+
+
+def _read_records(path: Path, expected: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, first, second)`` for each record of a two-column file.
+
+    The file is read as UTF-8 with an optional BOM; blank lines and lines
+    starting with '#' are skipped, and any other line must hold exactly two
+    whitespace-separated tokens.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if len(tokens) != 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected {expected}, got {len(tokens)} tokens")
+            yield lineno, tokens[0], tokens[1]
 
 
 def load_graph(path: str | Path, directed: bool = False) -> Graph:
     """Parse a whitespace-separated edge list with '#' comment lines.
 
-    Duplicate edges are deduplicated and self-loops dropped; each cleanup
-    emits one summary warning with the affected line count.
+    Nodes are numbered in order of first appearance, self-loop lines
+    included. Self-loops are dropped and repeated edges (in either
+    orientation, when undirected) deduplicated; each cleanup emits one
+    summary warning with the affected line count.
     """
     path = Path(path)
-    labels: list[str] = []
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    n_dups = 0
-    n_loops = 0
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two node labels, got {len(tokens)} tokens")
-            u_lab, v_lab = tokens
-            for lab in (u_lab, v_lab):
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-            u, v = index[u_lab], index[v_lab]
-            if u == v:
-                n_loops += 1
-                continue
-            key = (u, v) if directed or u < v else (v, u)
-            if key in seen:
-                n_dups += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
+    ids = [index.setdefault(lab, len(index))
+           for _, u_lab, v_lab in _read_records(path, "two node labels")
+           for lab in (u_lab, v_lab)]
+    u, v = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    loop = u == v
+    n_loops = int(np.count_nonzero(loop))
+    u, v = u[~loop], v[~loop]
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    n = len(index)
+    keys = np.unique(u * n + v)
+    n_dups = u.size - keys.size
     if n_loops:
         warnings.warn(f"{path}: dropped {n_loops} self-loop line(s)", stacklevel=2)
     if n_dups:
         warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return Graph(tuple(labels), edges, directed=directed)
+    return Graph(tuple(index), np.stack(np.divmod(keys, n), axis=1), directed=directed)
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
@@ -246,26 +241,16 @@ def load_partition(path: str | Path, graph: Graph) -> Partition:
     """Parse a two-column "node_label community_label" file for ``graph``."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'node community', got {len(tokens)} tokens")
-            node, comm = tokens
-            if node in mapping:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
-            if node not in graph.label_index:
-                raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
-            mapping[node] = comm
-    uncovered = [lab for lab in graph.node_labels if lab not in mapping]
-    if uncovered:
-        raise GraphFormatError(f"{path}: uncovered node {uncovered[0]!r}"
-                               + (f" (and {len(uncovered) - 1} more)" if len(uncovered) > 1 else ""))
-    return partition_from_mapping(graph, mapping)
+    for lineno, node, comm in _read_records(path, "'node community'"):
+        if node in mapping:
+            raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
+        if node not in graph.label_index:
+            raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
+        mapping[node] = comm
+    try:
+        return partition_from_mapping(graph, mapping)
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def save_partition(partition: Partition, labels: Sequence[str], path: str | Path) -> None:

@@ -6,7 +6,10 @@ package's own floating-point code paths. ``full_support_pmf`` and
 whole-support pmf construction the package used before its pmfs stopped at
 float64 underflow. ``pairwise_sample_graph`` is the blockmodel sampler that
 builds every node pair's probability; the package's sampler must match its
-edges, warning and random stream bit for bit.
+edges, warning and random stream bit for bit. ``line_loop_load_graph`` is
+the per-line edge-list parser with a Python set for deduplication; the
+package's record reader must give the same labels, edges, warnings and
+errors.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
 from csvnet._rng import derive_rng
-from csvnet.graph import Graph
+from csvnet.graph import Graph, GraphFormatError
 from csvnet.stats import HypergeomParams
 
 
@@ -189,3 +193,44 @@ def pairwise_sample_graph(assignment, theta, weights, seed,
     if labels is None:
         labels = tuple(f"n{i}" for i in range(v))
     return Graph(labels, edges)
+
+
+def line_loop_load_graph(path, directed: bool = False) -> Graph:
+    """Parse an edge list one line at a time, deduplicating with a set."""
+    path = Path(path)
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    n_dups = 0
+    n_loops = 0
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected two node labels, got {len(tokens)} tokens")
+            u_lab, v_lab = tokens
+            for lab in (u_lab, v_lab):
+                if lab not in index:
+                    index[lab] = len(labels)
+                    labels.append(lab)
+            u, v = index[u_lab], index[v_lab]
+            if u == v:
+                n_loops += 1
+                continue
+            key = (u, v) if directed or u < v else (v, u)
+            if key in seen:
+                n_dups += 1
+                continue
+            seen.add(key)
+            pairs.append(key)
+    if n_loops:
+        warnings.warn(f"{path}: dropped {n_loops} self-loop line(s)", stacklevel=2)
+    if n_dups:
+        warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return Graph(tuple(labels), edges, directed=directed)

@@ -179,6 +179,20 @@ def test_compare_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_compare_directory_target_replaces_nothing(tmp_path, capsys):
+    paths = [clique_pair_file(tmp_path, f"h{i}.tsv", k=6 + i) for i in range(2)]
+    out_dir = tmp_path / "cmp"
+    out_dir.mkdir()
+    (out_dir / "R.tsv").write_text("stale\n", encoding="utf-8")
+    (out_dir / "D.tsv").mkdir()
+    assert main(["compare", *paths, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "partial" not in err
+    assert f"'{out_dir / 'D.tsv'}'" in err
+    assert read(out_dir / "R.tsv") == "stale\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["D.tsv", "R.tsv"]
+
+
 def test_compare_single_graph_exits_2(tmp_path, capsys):
     graph = clique_pair_file(tmp_path, "solo.tsv")
     assert main(["compare", graph]) == 2
@@ -243,6 +257,21 @@ def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_generate_rejects_malformed_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for text, message in [("[[1]]", "config must be a JSON object"),
+                          ("3", "config must be a JSON object"),
+                          ('{"blocks": null}', "wrong type: ['blocks']"),
+                          ('{"theta_within": [1], "seed": 1.5}',
+                           "wrong type: ['seed', 'theta_within']")]:
+        config.write_text(text, encoding="utf-8")
+        assert main(["generate", "--v", "20", "--config", str(config),
+                     "--out-graph", str(tmp_path / "g.tsv"),
+                     "--out-partition", str(tmp_path / "p.tsv")]) == 2, text
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_generate_deterministic(tmp_path):
     outs = [(tmp_path / f"g{k}.tsv", tmp_path / f"p{k}.tsv") for k in range(2)]
     for out_graph, out_part in outs:
@@ -267,6 +296,31 @@ def test_generate_failed_partition_write_leaves_no_graph(tmp_path, capsys):
                  "--out-partition", str(tmp_path / "nodir" / "y.tsv")]) == 2
     assert "nodir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_directory_partition_target_replaces_nothing(tmp_path, capsys):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("old\n", encoding="utf-8")
+    part_dir = tmp_path / "part_dir"
+    part_dir.mkdir()
+    assert main(["generate", "--v", "40", "--out-graph", str(graph),
+                 "--out-partition", str(part_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "partial" not in err
+    assert f"'{part_dir}'" in err
+    assert read(graph) == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "part_dir"]
+
+
+def test_symlink_target_is_replaced(triangles, tmp_path, capsys):
+    graph, _ = triangles
+    target = tmp_path / "target_dir"
+    target.mkdir()
+    link = tmp_path / "clusters.tsv"
+    link.symlink_to(target, target_is_directory=True)
+    assert main(["cluster", graph, "--out", str(link)]) == 0
+    assert not link.is_symlink() and len(read(link).splitlines()) == 6
+    assert list(target.iterdir()) == []
 
 
 def test_successful_runs_leave_no_partial_files(triangles, tmp_path, capsys):

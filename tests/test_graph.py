@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import block_link_counts
+from oracles import block_link_counts, line_loop_load_graph
 
 from csvnet.graph import (
     Graph,
@@ -203,6 +203,66 @@ def test_load_partition_fuzz_parses_or_rejects(tmp_path, data):
     except ValueError:
         return
     assert isinstance(result, Partition)
+
+
+_LABELS = st.sampled_from(["a", "b", "c", "d", "n10", "x#", "#y", "\u00e9"])
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge lists with repeated, reversed, self-loop, comment, blank and
+    (rarely) malformed lines, mixed separators and line endings."""
+    lines: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    kinds = ["edge"] * 4 + ["repeat"] * 3 + ["loop", "comment", "blank", "bad"]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            if draw(st.booleans()):
+                u, v = v, u
+        elif kind in ("edge", "repeat"):
+            u, v = draw(_LABELS), draw(_LABELS)
+        elif kind == "loop":
+            u = v = draw(_LABELS)
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# header", "#a b", " # x y z"])))
+            continue
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        else:
+            lines.append(" ".join(draw(st.lists(_LABELS, min_size=1, max_size=3)
+                                       .filter(lambda t: len(t) != 2))))
+            continue
+        pairs.append((u, v))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(f"{pad}{u}{sep}{v}{pad}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _load_outcome(load, path, directed):
+    """Labels, edges and warning texts of a load, or the error text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = load(path, directed=directed)
+        except GraphFormatError as exc:
+            return str(exc)
+    return g.node_labels, g.edges.tolist(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_list_texts(), st.booleans())
+def test_load_graph_matches_line_loop_oracle(tmp_path, text, directed):
+    f = tmp_path / "g.tsv"
+    f.write_bytes(text.encode("utf-8"))
+    assert (_load_outcome(load_graph, f, directed)
+            == _load_outcome(line_loop_load_graph, f, directed))
 
 
 def test_partition_round_trip(tmp_path):
