@@ -56,28 +56,49 @@ from .simharness import (
 
 
 def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:
-    """Call each writer on a partial file ``.<name>.partial-<pid>`` beside its
-    target, then move every file into place, so a failed writer leaves no
-    target written and no partial file behind. A target that is a directory
+    """Write every target or none of them.
+
+    Each writer fills a partial file ``.<name>.partial-<pid>`` beside its
+    target. Then each existing target is moved aside to ``.<name>.old-<pid>``
+    and every partial file is moved into place. If any step fails, the new
+    files are removed and the old targets come back; the old copies are
+    deleted only once every move has succeeded. A target that is a directory
     (not a symlink, which is replaced) fails before anything is written."""
     for target in map(Path, writers):
         if target.is_dir() and not target.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    pid = os.getpid()
     partials: dict[Path, Path] = {}
+    aside: dict[Path, Path] = {}
+    placed: list[Path] = []
     try:
         for target, write in writers.items():
             target = Path(target)
-            partial = target.with_name(f".{target.name}.partial-{os.getpid()}")
+            partial = target.with_name(f".{target.name}.partial-{pid}")
             partials[partial] = target
             try:
                 write(partial)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        for target in partials.values():
+            if os.path.lexists(target):
+                old = target.with_name(f".{target.name}.old-{pid}")
+                os.replace(target, old)
+                aside[target] = old
         for partial, target in partials.items():
             os.replace(partial, target)
+            placed.append(target)
+    except BaseException:
+        for target in placed:
+            target.unlink()
+        for target, old in aside.items():
+            os.replace(old, target)
+        raise
     finally:
         for partial in partials:
             partial.unlink(missing_ok=True)
+    for old in aside.values():
+        old.unlink()
 
 
 def _text_writer(text: str) -> Callable[[Path], None]:
@@ -153,10 +174,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         _write_files({out_dir / name: _text_writer(text) for name, text in files.items()})
     except OSError:
-        # A directory this run made holds nothing but this run's files.
+        # A failed write leaves nothing, so a directory this run made is empty.
         if created:
-            for name in files:
-                (out_dir / name).unlink(missing_ok=True)
             out_dir.rmdir()
         raise
     print(f"compared {len(result.names)} graphs; wrote 5 files to {out_dir}")
@@ -165,8 +184,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _generate_settings(args: argparse.Namespace) -> dict:
     settings = {"v": 500, "blocks": 8, "theta_within": 0.3,
-                "theta_between": 0.01, "weight_mode": "uniform",
-                "seed": args.seed}
+                "theta_between": 0.01, "weight_mode": "uniform", "seed": 0}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
@@ -180,7 +198,7 @@ def _generate_settings(args: argparse.Namespace) -> dict:
         if wrong:
             raise ValueError(f"config keys of the wrong type: {wrong}")
         settings.update(loaded)
-    for field in ("v", "blocks", "theta_within", "theta_between", "weight_mode"):
+    for field in settings:
         flag = getattr(args, field)
         if flag is not None:
             settings[field] = flag
@@ -292,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="theta_between")
     p_gen.add_argument("--weight-mode", choices=("uniform", "powerlaw"),
                        default=None, dest="weight_mode")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out-graph", default="graph.tsv", dest="out_graph")
     p_gen.add_argument("--out-partition", default="partition.tsv",
                        dest="out_partition")

@@ -180,9 +180,17 @@ def fast_greedy(graph: Graph) -> Partition:
     Merge candidates are connected community pairs; ties break on the
     smallest (id, id) pair, and a merged community keeps the smaller id.
     As in Clauset, Newman & Moore (2004), every live community keeps a heap
-    of its neighbours' ΔQ, and a global heap holds only each row's maximum
-    (largest ΔQ, smallest neighbour id on ties). A merge rebuilds the merged
-    row and pushes the merged community's new ΔQ into each neighbour's row.
+    of its neighbours' ΔQ, and a global heap holds each row's published
+    maximum (largest ΔQ, smallest neighbour id on ties).
+
+    Rows are refreshed lazily. A pair needs to sit in only one of its two
+    rows, and when b merges into a, the rebuilt row of a holds every pair of
+    the merged community exactly, so no other row is touched: the entries
+    for a and b in a neighbour's row are void from then on. Between rebuilds
+    a row only loses entries, so its published maximum bounds its exact
+    maximum from above. It is checked when it surfaces at the global top: if
+    its entry went void, the row drops its void entries, is republished,
+    and the next maximum is popped.
     """
     if graph.directed:
         raise ValueError("fast_greedy operates on undirected graphs")
@@ -197,39 +205,36 @@ def fast_greedy(graph: Graph) -> Partition:
     links = [dict.fromkeys(flat[bounds[i]:bounds[i + 1]], 1.0) for i in range(n)]
     # Row entries are (-ΔQ, neighbour, neighbour's stamp); a community's
     # stamp moves whenever it absorbs another or is absorbed, which voids
-    # its old entries in every row.
+    # its old entries in every row. An entry not void is exact: the pair's
+    # ΔQ changes only when one end absorbs, which moves that end's stamp
+    # and rebuilds its row.
     stamp = [0] * n
     rows: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
-    row_top: list[tuple[float, int] | None] = [None] * n
     version = [0] * n
     heap: list[tuple[float, int, int, int, int]] = []
 
-    def rebuild(x: int) -> list[float]:
-        """Recompute row x after its degree changed; returns its -ΔQ values
-        in ``links[x]`` order."""
+    def publish(x: int) -> None:
+        """Drop void entries from the top of row x and offer its maximum to
+        the global heap, voiding the one offered before."""
+        row = rows[x]
+        while row and stamp[row[0][1]] != row[0][2]:
+            heapq.heappop(row)
+        version[x] += 1
+        if row:
+            neg_dq, y, _ = row[0]
+            heapq.heappush(heap, (neg_dq, min(x, y), max(x, y), x, version[x]))
+
+    def rebuild(x: int) -> None:
+        """Recompute row x after its degree changed and publish it."""
         row = links[x]
         deg_x = deg[x]
         negs = [-(w / m - deg_x * deg[y] / two_mm) for y, w in row.items()]
         rows[x] = list(zip(negs, row, map(stamp.__getitem__, row)))
         heapq.heapify(rows[x])
-        return negs
-
-    def publish(x: int) -> None:
-        """Offer row x's current maximum to the global heap if it changed."""
-        row = rows[x]
-        while row and stamp[row[0][1]] != row[0][2]:
-            heapq.heappop(row)
-        top = (row[0][0], row[0][1]) if row else None
-        if top != row_top[x]:
-            row_top[x] = top
-            version[x] += 1
-            if top is not None:
-                neg_dq, y = top
-                heapq.heappush(heap, (neg_dq, min(x, y), max(x, y), x, version[x]))
+        publish(x)
 
     for x in range(n):
         rebuild(x)
-        publish(x)
 
     q_now = -float(np.sum((graph.degrees / (2.0 * m)) ** 2))
     best_q, best_step = q_now, 0
@@ -238,34 +243,27 @@ def fast_greedy(graph: Graph) -> Partition:
         neg_dq, a, b, x, vx = heapq.heappop(heap)
         if version[x] != vx:
             continue
+        row = rows[x]
+        if stamp[row[0][1]] != row[0][2]:
+            publish(x)
+            continue
         merges.append((a, b))
         q_now -= neg_dq
         if q_now > best_q + 1e-15:
             best_q, best_step = q_now, len(merges)
         deg[a] += deg[b]
         row_a, moved = links[a], links[b]
-        links[b], rows[b], row_top[b] = {}, [], None
-        version[b] += 1
+        links[b], rows[b] = {}, []
         stamp[a] += 1
         stamp[b] += 1
+        publish(b)
         del row_a[b], moved[a]
         for y, w in moved.items():
             row_a[y] = row_a.get(y, 0.0) + w
             row_y = links[y]
             del row_y[b]
             row_y[a] = row_a[y]
-        negs = rebuild(a)
-        publish(a)
-        stamp_a = stamp[a]
-        for neg, y in zip(negs, row_a):
-            entry = (neg, a, stamp_a)
-            row = rows[y]
-            heapq.heappush(row, entry)
-            # The row maximum moves only if it named a or b, or if the new
-            # entry overtook it.
-            top_y = row_top[y][1]
-            if top_y == a or top_y == b or row[0] is entry:
-                publish(y)
+        rebuild(a)
 
     owner = list(range(n))
     for a, b in merges[:best_step]:

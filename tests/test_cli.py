@@ -179,6 +179,37 @@ def test_compare_failed_write_leaves_nothing(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+COMPARE_FILES = ("R.tsv", "S.tsv", "D.tsv", "dendrogram.nwk", "summary.json")
+
+
+@pytest.mark.parametrize("fail_at", range(1, 11))
+def test_compare_failed_move_restores_old_files(tmp_path, capsys, monkeypatch,
+                                                fail_at):
+    paths = [clique_pair_file(tmp_path, f"h{i}.tsv", k=6 + i) for i in range(2)]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    old = {name: f"old {name}\n".encode() for name in COMPARE_FILES}
+    for name, data in old.items():
+        (out_dir / name).write_bytes(data)
+    # Five old files mean five moves aside and five moves into place; the
+    # fail_at-th move fails once, whichever of the two it is.
+    real_replace = os.replace
+    calls = []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["compare", *paths, "--out-dir", str(out_dir)]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(COMPARE_FILES)
+    for name, data in old.items():
+        assert (out_dir / name).read_bytes() == data
+
+
 def test_compare_directory_target_replaces_nothing(tmp_path, capsys):
     paths = [clique_pair_file(tmp_path, f"h{i}.tsv", k=6 + i) for i in range(2)]
     out_dir = tmp_path / "cmp"
@@ -248,6 +279,24 @@ def test_generate_config_file(tmp_path):
                  "--out-graph", str(out_graph),
                  "--out-partition", str(out_part)]) == 0
     assert len(read(out_graph).splitlines()) == 3 * 6
+
+
+def test_generate_seed_flag_overrides_config(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+
+    def graph_bytes(name, *argv):
+        out_graph, out_part = tmp_path / f"{name}.tsv", tmp_path / f"{name}-p.tsv"
+        assert main(["generate", "--v", "40", *argv, "--out-graph", str(out_graph),
+                     "--out-partition", str(out_part)]) == 0
+        return out_graph.read_bytes()
+
+    flag_only = graph_bytes("flag", "--seed", "5")
+    assert graph_bytes("both", "--seed", "5", "--config", str(config)) == flag_only
+    assert graph_bytes("config", "--config", str(config)) == graph_bytes(
+        "seed1", "--seed", "1")
+    assert graph_bytes("none") == graph_bytes("seed0", "--seed", "0")
+    assert flag_only != graph_bytes("seed1-again", "--seed", "1")
 
 
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):

@@ -8,8 +8,9 @@ graphs come from this file's own numpy sampler, so a change to csvnet's
 generator cannot move them.
 
 Slow reference detectors restate both algorithms plainly and must agree
-exactly on small tie-heavy graphs; networkx serves as an independent,
-test-only oracle for the modularity the two detectors reach.
+exactly on small tie-heavy graphs and, for CNM, on generated ones; networkx
+serves as an independent, test-only oracle for the modularity the two
+detectors reach.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvnet.clustering import fast_greedy, louvain, louvain_with_history, modularity
 from csvnet.graph import Graph, Partition
@@ -276,3 +279,56 @@ def test_detectors_match_reference(name):
         ref_map, ref_history = reference_louvain(graph, seed)
         assert part.assignment.tolist() == _first_appearance(ref_map)
         assert history == ref_history
+
+
+# --- CNM on generated graphs --------------------------------------------------
+#
+# fast_greedy rebuilds only the merged community's row and leaves the
+# entries for the two merged communities in every other row, void, until
+# they surface. Shared neighbours (where ΔQ to the merged community rises)
+# and long merge chains are where that can go wrong, so the graphs mix
+# dense random parts with cliques chained by single edges, separate
+# components and isolated nodes.
+
+
+@st.composite
+def cnm_graphs(draw) -> Graph:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(["dense", "cliques", "isolated"]),
+                              min_size=1, max_size=4)):
+        room = 40 - n
+        if room < 2:
+            break
+        if kind == "dense":
+            size = draw(st.integers(2, min(room, 16)))
+            p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+            iu, ju = np.triu_indices(size, k=1)
+            hit = rng.random(iu.size) < p
+            edges += zip((iu[hit] + n).tolist(), (ju[hit] + n).tolist())
+            n += size
+        elif kind == "cliques":
+            sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+            for k in sizes:
+                if n + k > 40:
+                    break
+                if edges and edges[-1][1] == n - 1:
+                    edges.append((n - 1, n))
+                edges += [(n + i, n + j) for i in range(k) for j in range(i + 1, k)]
+                n += k
+        else:
+            n += draw(st.integers(1, min(room, 3)))
+    if not edges:
+        edges, n = [(n, n + 1)], n + 2
+    # Relabel so tie-breaks on ids meet every order of parts.
+    perm = rng.permutation(n)
+    return Graph(tuple(f"n{i}" for i in range(n)),
+                 perm[np.array(edges, dtype=np.int64)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnm_graphs())
+def test_fast_greedy_matches_reference_on_generated_graphs(graph):
+    assert fast_greedy(graph).assignment.tolist() == _first_appearance(
+        reference_fast_greedy(graph))
