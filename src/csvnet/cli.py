@@ -193,8 +193,10 @@ def _generate_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         # Any number may be an int; an int weight_mode fails further down.
+        # No setting is a bool, and JSON true/false would pass as an int.
         wrong = sorted(key for key, value in loaded.items()
-                       if not isinstance(value, (int, type(settings[key]))))
+                       if isinstance(value, bool)
+                       or not isinstance(value, (int, type(settings[key]))))
         if wrong:
             raise ValueError(f"config keys of the wrong type: {wrong}")
         settings.update(loaded)

@@ -3,7 +3,9 @@
 Louvain and the CNM fast-greedy agglomeration both start from the graph's
 cached CSR adjacency; Louvain levels are weighted pair arrays that carry
 self-loop weight after aggregation.
-Complete linkage operates on labeled distance matrices and exports Newick.
+Complete linkage operates on labeled distance matrices. Newick is written
+and read in one non-recursive pass each, so any tree that ``to_newick``
+writes, however deep, reads back with ``from_newick``.
 All tie-breaks are lexicographic on ids, making every routine deterministic
 for a fixed seed.
 """
@@ -11,6 +13,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,109 +390,85 @@ def check_newick_label(label: str) -> None:
 def to_newick(dend: Dendrogram) -> str:
     """Serialize with branch lengths equal to merge-height differences.
 
-    Children print with the subtree containing the smallest leaf index first.
+    One pass in merge order builds each subtree's text from its children's,
+    which come earlier, then frees theirs. Children print with the subtree
+    containing the smallest leaf index first.
     """
     for label in dend.leaf_labels:
         check_newick_label(label)
-    n = dend.n_leaves
-    min_leaf = list(range(n)) + [0] * len(dend.merges)
-    for idx, (a, b, _) in enumerate(dend.merges):
-        min_leaf[n + idx] = min(min_leaf[a], min_leaf[b])
-
-    def children(ref: int) -> tuple[int, int, float]:
-        a, b, height = dend.merges[ref - n]
-        return (b, a, height) if min_leaf[b] < min_leaf[a] else (a, b, height)
-
     if not dend.merges:
         return f"{dend.leaf_labels[0]}:0;"
-    # Explicit stack instead of recursion: a caterpillar tree is as deep as
-    # it has leaves. Items are literal text or (ref, parent height) subtrees.
-    a, b, height = children(n + len(dend.merges) - 1)
-    out = ["("]
-    stack: list = [");", (b, height), ",", (a, height)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        ref, parent_height = item
-        if ref < n:
-            out.append(f"{dend.leaf_labels[ref]}:{_fmt(parent_height)}")
-        else:
-            a, b, height = children(ref)
-            out.append("(")
-            stack += [f"):{_fmt(parent_height - height)}", (b, height), ",", (a, height)]
-    return "".join(out)
+    n = dend.n_leaves
+    text = list(dend.leaf_labels)
+    min_leaf = list(range(n))
+    height = [0.0] * n
+    for a, b, h in dend.merges:
+        if min_leaf[b] < min_leaf[a]:
+            a, b = b, a
+        text.append(f"({text[a]}:{_fmt(h - height[a])},"
+                    f"{text[b]}:{_fmt(h - height[b])})")
+        text[a] = text[b] = ""
+        min_leaf.append(min_leaf[a])
+        height.append(h)
+    return text[-1] + ";"
 
 
 def from_newick(text: str) -> Dendrogram:
-    """Parse a binary Newick tree produced by :func:`to_newick`."""
+    """Parse a binary Newick tree produced by :func:`to_newick`.
+
+    One scan, with a stack of the children read under each open ``(``. Leaf
+    names may be empty or hold ``;``; internal nodes have no name. Leaves
+    number in reading order; merges sort by (height, closing order).
+    """
     s = text.strip()
     if not s.endswith(";"):
         raise ValueError("newick text must end with ';'")
     s = s[:-1]
-    pos = 0
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
-            raise ValueError(f"expected {ch!r} at {pos}")
-        pos += 1
-
-    def parse_node() -> tuple:
-        nonlocal pos
-        if pos < len(s) and s[pos] == "(":
-            pos += 1
-            left = parse_node()
-            expect(",")
-            right = parse_node()
-            expect(")")
-            node: tuple = (left, right)
-        else:
-            start = pos
-            while pos < len(s) and s[pos] not in ":,()":
-                pos += 1
-            node = (s[start:pos],)
-        branch = 0.0
-        if pos < len(s) and s[pos] == ":":
-            pos += 1
-            start = pos
-            while pos < len(s) and s[pos] not in ",()":
-                pos += 1
-            branch = float(s[start:pos])
-        return node + (branch,)
-
+    name_at, branch_at = re.compile(r"[^:,()]*").match, re.compile(r"[^,()]*").match
     leaves: list[str] = []
-    internals: list[tuple] = []
-
-    def walk(node: tuple) -> tuple[int, float]:
-        """Post-order; returns (kind-tagged index, height)."""
-        if len(node) == 2:
-            leaves.append(node[0])
-            return len(leaves) - 1, 0.0
-        (left, right, _) = node
-        l_ref, l_height = walk(left)
-        r_ref, r_height = walk(right)
-        height = max(l_height + left[-1], r_height + right[-1])
-        internals.append((l_ref, r_ref, height))
-        return -len(internals), height
-
-    try:
-        tree = parse_node()
-        if pos != len(s):
-            raise ValueError(f"trailing newick content at {pos}")
-        walk(tree)
-    except RecursionError:
-        raise ValueError("newick nesting too deep") from None
+    # Leaf i is ref i; the k-th internal node to close is ref ~k == -1 - k.
+    internals: list[tuple[int, int, float]] = []
+    open_nodes: list[list[tuple[int, float]]] = []
+    pos, ref = 0, None
+    while True:
+        if ref is None:  # a node starts here
+            if s.startswith("(", pos):
+                open_nodes.append([])
+                pos += 1
+                continue
+            name = name_at(s, pos)
+            leaves.append(name.group())
+            pos = name.end()
+            ref, height = len(leaves) - 1, 0.0
+        branch = 0.0
+        if s.startswith(":", pos):
+            length = branch_at(s, pos + 1)
+            branch, pos = float(length.group()), length.end()
+        if not open_nodes:
+            break
+        children = open_nodes[-1]
+        children.append((ref, height + branch))
+        want = "," if len(children) == 1 else ")"
+        if not s.startswith(want, pos):
+            raise ValueError(f"expected {want!r} at {pos}")
+        pos += 1
+        if want == ",":
+            ref = None
+            continue
+        open_nodes.pop()
+        (a, top_a), (b, top_b) = children
+        height = max(top_a, top_b)
+        ref = ~len(internals)
+        internals.append((a, b, height))
+    if pos != len(s):
+        raise ValueError(f"trailing newick content at {pos}")
     if len(leaves) < 2:
         raise ValueError("newick tree must contain at least two leaves")
     n = len(leaves)
-    order = sorted(range(len(internals)), key=lambda i: (internals[i][2], i))
-    position = {-(i + 1): n + rank for rank, i in enumerate(order)}
-
-    def resolve(ref: int) -> int:
-        return ref if ref >= 0 else position[ref]
-
-    merges = tuple((resolve(a), resolve(b), h)
-                   for a, b, h in (internals[i] for i in order))
+    order = sorted(range(len(internals)), key=lambda k: (internals[k][2], k))
+    # Ref ~k indexes this list from its end, where rank r of k puts n + r.
+    ids = list(range(n)) + [0] * len(order)
+    for rank, k in enumerate(order):
+        ids[~k] = n + rank
+    merges = tuple((ids[a], ids[b], h) for a, b, h in (internals[k] for k in order))
     return Dendrogram(merges, tuple(leaves))

@@ -14,9 +14,10 @@ is exact: weights are positive and a rounded float product is monotone in
 each factor, so every pair's probability is at most the block pair's bound
 max(w_r) * max(w_s) * theta[r, s], and a uniform at or above the bound
 rejects the pair whatever its own probability. Where the bound exceeds 1,
-some pairs may be clamped to 1; there every pair of the buffer is
-evaluated, so the clamped count in the warning stays exact. Time is still
-linear in the number of node pairs.
+every uniform lies below it, so every pair of the buffer is a candidate and
+the count of pair probabilities above 1 in the warning stays exact. Such a
+pair is an edge without clamping, since its uniform is below 1. Time is
+still linear in the number of node pairs.
 """
 
 from __future__ import annotations
@@ -174,13 +175,11 @@ def sample_graph(assignment, theta, weights, seed) -> Graph:
                 continue
             n_pairs = nr * (nr - 1) // 2 if r == s else nr * ns
             # Every pair's probability is at most this bound (see the
-            # module docstring); above 1 some pairs may clamp.
+            # module docstring).
             bound = wmax[r] * wmax[s] * rate
-            full = bound > 1.0
             for lo in range(0, n_pairs, buf.size):
                 draws = rng.random(out=buf[:min(buf.size, n_pairs - lo)])
-                hit = (np.arange(draws.size) if full
-                       else (draws < bound).nonzero()[0])
+                hit = (draws < bound).nonzero()[0]
                 if not hit.size:
                     continue
                 flat = hit + lo
@@ -191,9 +190,7 @@ def sample_graph(assignment, theta, weights, seed) -> Graph:
                     a, b = np.divmod(flat, ns)
                 u, vv = rows[a], cols[b]
                 probs = w[u] * w[vv] * rate
-                if full:
-                    n_clamped += int(np.count_nonzero(probs > 1.0))
-                    np.minimum(probs, 1.0, out=probs)
+                n_clamped += int(np.count_nonzero(probs > 1.0))
                 mask = draws[hit] < probs
                 row_heads.append(u[mask])
                 row_tails.append(vv[mask])

@@ -85,7 +85,7 @@ def _check_rates(values, what: str) -> list[float]:
     out = [float(x) for x in values]
     if not out:
         raise ValueError(f"{what} must not be empty")
-    if any(x < 0.0 or x > 1.0 for x in out):
+    if not all(0.0 <= x <= 1.0 for x in out):
         raise ValueError(f"{what} entries must lie in [0, 1]")
     return out
 

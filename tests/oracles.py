@@ -9,7 +9,10 @@ builds every node pair's probability; the package's sampler must match its
 edges, warning and random stream bit for bit. ``line_loop_load_graph`` is
 the per-line edge-list parser with a Python set for deduplication; the
 package's record reader must give the same labels, edges, warnings and
-errors.
+errors. ``recursive_from_newick`` is the recursive-descent Newick parser
+that builds a nested-tuple parse tree and walks it; the package's one-pass
+scanner must give the same dendrogram, or a ValueError wherever it raises
+one (past Python's recursion limit it reports "too deep" instead).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from csvnet._rng import derive_rng
+from csvnet.clustering import Dendrogram
 from csvnet.graph import Graph, GraphFormatError
 from csvnet.stats import HypergeomParams
 
@@ -234,3 +238,76 @@ def line_loop_load_graph(path, directed: bool = False) -> Graph:
         warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
     edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return Graph(tuple(labels), edges, directed=directed)
+
+
+def recursive_from_newick(text: str) -> Dendrogram:
+    """Parse a binary Newick tree by recursive descent into a parse tree."""
+    s = text.strip()
+    if not s.endswith(";"):
+        raise ValueError("newick text must end with ';'")
+    s = s[:-1]
+    pos = 0
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            raise ValueError(f"expected {ch!r} at {pos}")
+        pos += 1
+
+    def parse_node() -> tuple:
+        nonlocal pos
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
+            left = parse_node()
+            expect(",")
+            right = parse_node()
+            expect(")")
+            node: tuple = (left, right)
+        else:
+            start = pos
+            while pos < len(s) and s[pos] not in ":,()":
+                pos += 1
+            node = (s[start:pos],)
+        branch = 0.0
+        if pos < len(s) and s[pos] == ":":
+            pos += 1
+            start = pos
+            while pos < len(s) and s[pos] not in ",()":
+                pos += 1
+            branch = float(s[start:pos])
+        return node + (branch,)
+
+    leaves: list[str] = []
+    internals: list[tuple] = []
+
+    def walk(node: tuple) -> tuple[int, float]:
+        """Post-order; returns (kind-tagged index, height)."""
+        if len(node) == 2:
+            leaves.append(node[0])
+            return len(leaves) - 1, 0.0
+        (left, right, _) = node
+        l_ref, l_height = walk(left)
+        r_ref, r_height = walk(right)
+        height = max(l_height + left[-1], r_height + right[-1])
+        internals.append((l_ref, r_ref, height))
+        return -len(internals), height
+
+    try:
+        tree = parse_node()
+        if pos != len(s):
+            raise ValueError(f"trailing newick content at {pos}")
+        walk(tree)
+    except RecursionError:
+        raise ValueError("newick nesting too deep") from None
+    if len(leaves) < 2:
+        raise ValueError("newick tree must contain at least two leaves")
+    n = len(leaves)
+    order = sorted(range(len(internals)), key=lambda i: (internals[i][2], i))
+    position = {-(i + 1): n + rank for rank, i in enumerate(order)}
+
+    def resolve(ref: int) -> int:
+        return ref if ref >= 0 else position[ref]
+
+    merges = tuple((resolve(a), resolve(b), h)
+                   for a, b, h in (internals[i] for i in order))
+    return Dendrogram(merges, tuple(leaves))

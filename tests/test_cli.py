@@ -312,7 +312,8 @@ def test_generate_rejects_malformed_config(tmp_path, capsys):
                           ("3", "config must be a JSON object"),
                           ('{"blocks": null}', "wrong type: ['blocks']"),
                           ('{"theta_within": [1], "seed": 1.5}',
-                           "wrong type: ['seed', 'theta_within']")]:
+                           "wrong type: ['seed', 'theta_within']"),
+                          ('{"blocks": true}', "wrong type: ['blocks']")]:
         config.write_text(text, encoding="utf-8")
         assert main(["generate", "--v", "20", "--config", str(config),
                      "--out-graph", str(tmp_path / "g.tsv"),
@@ -443,6 +444,17 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert main(["simulate", "sim3", "--v", "40",
                  "--algorithms", "walktrap"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sim1", "--grid", "nan"],
+                                  ["sim3", "--levels", "nan",
+                                   "--algorithms", "louvain"]])
+def test_simulate_nan_rate_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "rows.tsv"
+    assert main(["simulate", *argv, "--v", "40", "--replicates", "1",
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2():

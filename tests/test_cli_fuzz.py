@@ -70,7 +70,7 @@ def partition_texts(draw, graph_text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONFIG_VALUES = st.one_of(st.integers(-2, 40), _FLOATS, st.none(),
+_CONFIG_VALUES = st.one_of(st.integers(-2, 40), _FLOATS, st.none(), st.booleans(),
                            st.sampled_from(["uniform", "powerlaw", "x"]),
                            st.lists(st.integers(0, 3), max_size=2))
 _CONFIG_DICTS = st.dictionaries(

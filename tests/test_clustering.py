@@ -24,7 +24,7 @@ from csvnet.clustering import (
     to_newick,
 )
 from csvnet.graph import Graph, Partition
-from oracles import linkage_reference
+from oracles import linkage_reference, recursive_from_newick
 
 
 def make_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -312,8 +312,61 @@ def test_from_newick_truncated_raises_value_error(text):
 
 
 def test_from_newick_deep_nesting_raises_value_error():
-    with pytest.raises(ValueError, match="too deep"):
+    # Nothing closes, so the scan runs out of text however deep it goes.
+    with pytest.raises(ValueError, match="expected ','"):
         from_newick("(" * 3000 + ";")
+
+
+@pytest.mark.parametrize("n", [1500, 5000])
+def test_from_newick_reads_deep_caterpillar(n):
+    merges = [(0, 1, 1.0)] + [(n + t - 1, t + 1, float(t + 1)) for t in range(1, n - 1)]
+    dend = Dendrogram(tuple(merges), tuple(f"l{i}" for i in range(n)))
+    parsed = from_newick(to_newick(dend))
+    assert parsed.merges == dend.merges
+    assert parsed.leaf_labels == dend.leaf_labels
+
+
+def _newick_outcome(parse, text: str) -> str:
+    try:
+        dend = parse(text)
+    except ValueError:
+        return "ValueError"
+    return repr((dend.merges, dend.leaf_labels))  # repr: a NaN height equals itself
+
+
+_NEWICK_LABELS = ["", "a.b", "1e", "a", "b", "ab", "1", "e", "-", "1.e", "a-b", ".", "e-1"]
+
+
+@st.composite
+def _edited_newick(draw) -> str:
+    """``to_newick`` of a random complete-linkage tree, then up to 3 edits."""
+    labels = draw(st.lists(st.sampled_from(_NEWICK_LABELS), min_size=2,
+                           max_size=12, unique=True))
+    n = len(labels)
+    scale = draw(st.sampled_from([1, 3, 8]))
+    raw = np.array(draw(st.lists(st.integers(0, 20), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n) / scale
+    values = np.triu(raw, 1)
+    dend = complete_linkage(DistanceMatrix(tuple(labels), values + values.T))
+    text = list(to_newick(dend))
+    chars = st.sampled_from("(),:;ab1.e- ")
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        i = draw(st.integers(0, len(text) - (op != "insert")))
+        if op == "insert":
+            text.insert(i, draw(chars))
+        elif op == "delete":
+            del text[i]
+        else:
+            text[i] = draw(chars)
+    return "".join(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_newick())
+def test_from_newick_matches_recursive_oracle(text):
+    assert (_newick_outcome(from_newick, text)
+            == _newick_outcome(recursive_from_newick, text))
 
 
 @settings(max_examples=300, deadline=None)

@@ -110,8 +110,17 @@ def test_sim3_external_partition_missing_file(tmp_path):
 
 
 def test_input_validation():
+    nan = float("nan")  # fails every comparison, so it must fail the range check
     with pytest.raises(ValueError):
         run_sim1(theta_between_grid=(1.5,), replicates=1)
+    with pytest.raises(ValueError):
+        run_sim1(theta_between_grid=(nan,), replicates=1)
+    with pytest.raises(ValueError):
+        run_sim2(theta_between_levels=(nan,), replicates=1)
+    with pytest.raises(ValueError):
+        run_sim2(degradation_grid=(0.0, nan), replicates=1)
+    with pytest.raises(ValueError):
+        run_sim3(theta_between_levels=(nan,), replicates=1, v=40)
     with pytest.raises(ValueError):
         run_sim1(theta_between_grid=(0.1,), replicates=0)
     with pytest.raises(ValueError):
