@@ -43,16 +43,7 @@ from .graph import (
     save_partition,
 )
 from .indices import csv_report, report_to_json, report_to_tsv
-from .simharness import (
-    DEFAULT_DEGRADATION_GRID,
-    DEFAULT_SIM2_LEVELS,
-    DEFAULT_THETA_GRID,
-    SCHEMA_VERSION,
-    rows_to_tsv,
-    run_sim1,
-    run_sim2,
-    run_sim3,
-)
+from .simharness import SCHEMA_VERSION, rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
 def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:
@@ -124,13 +115,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _unique_names(paths: list[str]) -> list[str]:
+    """File stems as graph names. A stem's first use keeps it; a repeat takes
+    the first ``-k`` suffix (k >= 2) that is neither a stem on the command
+    line nor a name given already."""
+    stems = [Path(path).stem for path in paths]
+    taken = set(stems)
     names: list[str] = []
-    used: dict[str, int] = {}
-    for path in paths:
-        stem = Path(path).stem
-        count = used.get(stem, 0) + 1
-        used[stem] = count
-        names.append(stem if count == 1 else f"{stem}-{count}")
+    for stem in stems:
+        name, k = stem, 2
+        if stem in names:
+            while f"{stem}-{k}" in taken:
+                k += 1
+            name = f"{stem}-{k}"
+            taken.add(name)
+        names.append(name)
     return names
 
 
@@ -208,6 +206,8 @@ def _generate_settings(args: argparse.Namespace) -> dict:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if os.path.realpath(args.out_graph) == os.path.realpath(args.out_partition):
+        raise ValueError(f"--out-graph and --out-partition name one file: {args.out_graph}")
     s = _generate_settings(args)
     sizes = equal_block_sizes(s["v"], s["blocks"])
     partition = planted_partition(sizes)
@@ -249,24 +249,27 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+# simulate flag -> study parameter. Flags left unset, or that a study does not
+# take, are not passed, so the study function's own defaults apply.
+_SIM_PARAMS = {
+    "sim1": {"v": "v_list", "grid": "theta_between_grid"},
+    "sim2": {"v": "v", "levels": "theta_between_levels",
+             "degradation_grid": "degradation_grid"},
+    "sim3": {"v": "v", "levels": "theta_between_levels", "algorithms": "algorithms"},
+}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    common = dict(replicates=args.replicates, seed=args.seed,
-                  alpha=args.alpha)
-    if args.sim != "sim1" and args.v is not None and len(args.v) != 1:
-        raise ValueError(f"{args.sim} takes a single --v value")
-    if args.sim == "sim1":
-        rows = run_sim1(v_list=args.v or (500,),
-                        theta_between_grid=args.grid or DEFAULT_THETA_GRID,
-                        **common)
-    elif args.sim == "sim2":
-        rows = run_sim2(theta_between_levels=args.levels or DEFAULT_SIM2_LEVELS,
-                        degradation_grid=(args.degradation_grid
-                                          or DEFAULT_DEGRADATION_GRID),
-                        v=(args.v or (500,))[0], **common)
-    else:
-        rows = run_sim3(theta_between_levels=args.levels or (0.01, 0.1, 0.2, 0.3),
-                        algorithms=args.algorithms or ("louvain", "fast_greedy"),
-                        v=(args.v or (500,))[0], **common)
+    flags = {f: f for f in ("replicates", "seed", "alpha")} | _SIM_PARAMS[args.sim]
+    params = {param: getattr(args, flag) for flag, param in flags.items()
+              if getattr(args, flag) is not None}
+    if "v" in params:
+        if len(params["v"]) != 1:
+            raise ValueError(f"{args.sim} takes a single --v value")
+        params["v"] = params["v"][0]
+    # Looked up per call: perfbench/traced.py rebinds this module's run_sim3.
+    run = {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}[args.sim]
+    rows = run(**params)
     _write_text(args.out, rows_to_tsv(rows))
     return 0
 
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.add_argument("sim", choices=("sim1", "sim2", "sim3"))
     p_sim.add_argument("--v", type=int, nargs="+", default=None)
-    p_sim.add_argument("--replicates", type=int, default=20)
+    p_sim.add_argument("--replicates", type=int, default=None)
     p_sim.add_argument("--grid", type=float, nargs="+", default=None,
                        help="between-rate grid (sim1)")
     p_sim.add_argument("--levels", type=float, nargs="+", default=None,
@@ -338,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, dest="degradation_grid")
     p_sim.add_argument("--algorithms", nargs="+", default=None,
                        help="louvain, fast_greedy, or external:<path> (sim3)")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--alpha", type=float, default=None)
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p_sim.add_argument("--out", default=None, help="output file (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .graph import Graph, Partition, symmetric_csr
+from .graph import Graph, Partition, first_appearance_ids, fmt_float, symmetric_csr
 
 _GAIN_EPS = 1e-12
 
@@ -114,16 +114,6 @@ def _find(owner: list[int], x: int) -> int:
     return x
 
 
-def _densify(comm: list[int]) -> tuple[list[int], int]:
-    ids: dict[int, int] = {}
-    out = []
-    for c in comm:
-        if c not in ids:
-            ids[c] = len(ids)
-        out.append(ids[c])
-    return out, len(ids)
-
-
 def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
     """Louvain detection plus the modularity reached after each pass.
 
@@ -148,7 +138,7 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
     while True:
         k = np.bincount(u, w, n) + np.bincount(v, w, n) + loop
         comm, improved = _local_pass(indptr, indices, weights, k, two_w, rng)
-        dense_list, n_comm = _densify(comm)
+        dense_list, n_comm = first_appearance_ids(comm)
         dense = np.asarray(dense_list, dtype=np.int64)
         history.append(_level_q(u, v, w, loop, k, dense, n_comm, two_w))
         node_map = dense[node_map]
@@ -165,7 +155,7 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
         u, v, n = keys // n_comm, keys % n_comm, n_comm
         indptr, indices, slot = symmetric_csr(n, u, v)
         weights = np.concatenate([w, w])[slot]
-    final, q = _densify(node_map.tolist())
+    final, q = first_appearance_ids(node_map.tolist())
     return Partition(np.asarray(final), q), history
 
 
@@ -271,7 +261,7 @@ def fast_greedy(graph: Graph) -> Partition:
     owner = list(range(n))
     for a, b in merges[:best_step]:
         owner[_find(owner, b)] = _find(owner, a)
-    dense, q = _densify([_find(owner, i) for i in range(n)])
+    dense, q = first_appearance_ids(_find(owner, i) for i in range(n))
     return Partition(np.asarray(dense), q)
 
 
@@ -363,19 +353,12 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> dict[str, int]:
         root = n + idx
         owner[_find(owner, a)] = root
         owner[_find(owner, b)] = root
-    ids: dict[int, int] = {}
-    out: dict[str, int] = {}
-    for leaf, label in enumerate(dend.leaf_labels):
-        root = _find(owner, leaf)
-        if root not in ids:
-            ids[root] = len(ids)
-        out[label] = ids[root]
-    return out
+    ids, _ = first_appearance_ids(_find(owner, leaf) for leaf in range(n))
+    return dict(zip(dend.leaf_labels, ids))
 
 
 def _fmt(x: float) -> str:
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s
+    return fmt_float(x).removesuffix(".0")
 
 
 _NEWICK_UNSAFE = set("(),:;\t\n ")

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import derive_rng
 from .clustering import Dendrogram, DistanceMatrix, complete_linkage, louvain
-from .graph import Graph, Partition, induced_subgraph
+from .graph import Graph, Partition, fmt_float, induced_subgraph
 from .indices import csv_report
 
 
@@ -44,21 +44,19 @@ def filter_small_communities(partition: Partition,
 _UNDEFINED_MSG = "relative index undefined: partition scores 0 on its own graph"
 
 
-def _relative_index(p: Partition, g_own: Graph, g_other: Graph, alpha: float,
-                    use_wcsv: bool) -> tuple[float, float, bool]:
-    """(own-graph index, relative index, defined) for p on g_own's node order.
-
-    p is realigned by label onto g_other's node order; a zero own index
-    leaves the relative index undefined and recorded as 0.
-    """
-    def index(graph: Graph, part: Partition) -> float:
-        report = csv_report(graph, part, alpha=alpha)
-        return report.wcsv if use_wcsv else report.ucsv
-
-    own = index(g_own, p)
+def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
+                 alpha: float, use_wcsv: bool) -> tuple[float, float, bool]:
+    """(own-graph index, relative index, defined) for p over g_own's nodes
+    ``keep`` (ascending). Both graphs are cut to those nodes and p is realigned
+    by label onto g_other; a zero own index leaves the relative index
+    undefined, recorded as 0."""
+    labels = [g_own.node_labels[i] for i in keep]
+    g_own, g_other = induced_subgraph(g_own, labels), induced_subgraph(g_other, labels)
+    index = "wcsv" if use_wcsv else "ucsv"
+    own = getattr(csv_report(g_own, p, alpha=alpha), index)
     by_label = {lab: int(c) for lab, c in zip(g_own.node_labels, p.assignment)}
     p_other = Partition(np.array([by_label[lab] for lab in g_other.node_labels]), p.q)
-    other = index(g_other, p_other)
+    other = getattr(csv_report(g_other, p_other, alpha=alpha), index)
     if own == 0.0:
         return 0.0, 0.0, False
     return own, other / own, True
@@ -75,7 +73,8 @@ def relative_ucsv(p: Partition, g_own: Graph, g_other: Graph,
     """
     if set(g_own.node_labels) != set(g_other.node_labels):
         raise ValueError("graphs must share an identical node set")
-    _, relative, defined = _relative_index(p, g_own, g_other, alpha, use_wcsv)
+    _, relative, defined = _cross_score(p, np.arange(g_own.n_nodes), g_own, g_other,
+                                        alpha, use_wcsv)
     if not defined:
         warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=2)
     return relative
@@ -117,17 +116,9 @@ def _name_key(name: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
-                 alpha: float, use_wcsv: bool) -> tuple[float, float, bool]:
-    """(own-graph index, relative index, defined) for a filtered partition."""
-    labels = [g_own.node_labels[i] for i in keep]
-    return _relative_index(p, induced_subgraph(g_own, labels),
-                           induced_subgraph(g_other, labels), alpha, use_wcsv)
-
-
 def _pair_detail(g1: Graph, g2: Graph, alpha: float, min_size: int, seed,
                  use_wcsv: bool, names: tuple[str, str]) -> PairComparison:
-    common = sorted(set(g1.node_labels) & set(g2.node_labels))
+    common = set(g1.node_labels) & set(g2.node_labels)
     if not common:
         raise ValueError("graphs share no node labels")
     g1c = induced_subgraph(g1, common)
@@ -140,8 +131,6 @@ def _pair_detail(g1: Graph, g2: Graph, alpha: float, min_size: int, seed,
     keep2, p2f = filter_small_communities(p2, min_size)
     own1, r12, def12 = _cross_score(p1f, keep1, g1c, g2c, alpha, use_wcsv)
     own2, r21, def21 = _cross_score(p2f, keep2, g2c, g1c, alpha, use_wcsv)
-    if not (def12 and def21):
-        warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=3)
     return PairComparison(names[0], names[1], len(common), r12, r21,
                           def12, def21, own1, own2, p1f.q, p2f.q)
 
@@ -156,6 +145,8 @@ def compare_pair(g1: Graph, g2: Graph, alpha: float = 0.05, min_size: int = 5,
     """
     detail = _pair_detail(g1, g2, alpha, min_size, seed, use_wcsv,
                           (str(names[0]), str(names[1])))
+    if not (detail.defined_ij and detail.defined_ji):
+        warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=2)
     return detail.r_ij, detail.r_ji
 
 
@@ -209,5 +200,5 @@ def matrix_tsv(labels, values: np.ndarray) -> str:
     labels = [str(x) for x in labels]
     lines = ["name\t" + "\t".join(labels)]
     for label, row in zip(labels, np.asarray(values)):
-        lines.append(label + "\t" + "\t".join(repr(float(x)) for x in row))
+        lines.append(label + "\t" + "\t".join(map(fmt_float, row)))
     return "\n".join(lines) + "\n"

@@ -157,6 +157,12 @@ class Partition:
         return list(np.split(order, splits))
 
 
+def first_appearance_ids(values) -> tuple[list[int], int]:
+    """Number ``values`` 0, 1, ... in order of first appearance, plus the count."""
+    ids: dict[object, int] = {}
+    return [ids.setdefault(x, len(ids)) for x in values], len(ids)
+
+
 def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partition:
     """Build a dense Partition of ``graph`` from a label -> community mapping.
 
@@ -170,9 +176,8 @@ def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partitio
     extra = set(mapping) - set(graph.node_labels)
     if extra:
         raise ValueError(f"unknown node label {min(extra)!r}")
-    ids: dict[object, int] = {}
-    assignment = [ids.setdefault(mapping[lab], len(ids)) for lab in graph.node_labels]
-    return Partition(np.array(assignment, dtype=np.int64), len(ids))
+    assignment, q = first_appearance_ids(mapping[lab] for lab in graph.node_labels)
+    return Partition(np.array(assignment, dtype=np.int64), q)
 
 
 def _read_records(path: Path, expected: str) -> Iterator[tuple[int, str, str]]:
@@ -220,6 +225,11 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     if n_dups:
         warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
     return Graph(tuple(index), np.stack(np.divmod(keys, n), axis=1), directed=directed)
+
+
+def fmt_float(x) -> str:
+    """Float text of every csvnet table: the shortest that reads back exactly."""
+    return repr(float(x))
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enrichment import EnrichmentMatrix, enrichment_matrix
-from .graph import Graph, Partition
+from .graph import Graph, Partition, fmt_float
 
 SCHEMA_VERSION = 1
 
@@ -121,7 +121,7 @@ def _json_float(x: float) -> str:
         return "NaN"
     if x in (math.inf, -math.inf):
         return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+    return fmt_float(x)
 
 
 def report_to_json(report: CsvReport) -> str:
@@ -161,21 +161,18 @@ def report_to_json(report: CsvReport) -> str:
     return head + "\n"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def report_to_tsv(report: CsvReport) -> str:
     """Flat TSV: self-describing record rows behind a schema comment."""
+    f = fmt_float
     lines = [f"# csvnet report schema_version={SCHEMA_VERSION}",
-             f"index\talpha\t{_fmt(report.alpha)}",
-             f"index\tucsv\t{_fmt(report.ucsv)}",
-             f"index\twcsv\t{_fmt(report.wcsv)}"]
+             f"index\talpha\t{f(report.alpha)}",
+             f"index\tucsv\t{f(report.ucsv)}",
+             f"index\twcsv\t{f(report.wcsv)}"]
     for c in report.per_community:
-        lines.append(f"community\t{c.community}\t{c.size}\t{_fmt(c.ucv)}\t{_fmt(c.wcv)}")
+        lines.append(f"community\t{c.community}\t{c.size}\t{f(c.ucv)}\t{f(c.wcv)}")
     for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate in report.matrix.records():
         lines.append("\t".join([
             "test", str(r), str(s), direction, str(n_obs),
-            _fmt(mu0), _fmt(raw_p), _fmt(adj_p), str(int(degenerate)),
+            f(mu0), f(raw_p), f(adj_p), str(int(degenerate)),
         ]))
     return "\n".join(lines) + "\n"

@@ -26,13 +26,13 @@ from .dcsbm import (
     sample_theta_within,
     theta_matrix,
 )
-from .graph import Graph, Partition, load_partition
+from .graph import Graph, Partition, fmt_float, load_partition
 from .indices import csv_report
 
 SCHEMA_VERSION = 1
 DEFAULT_V = 500
 DEFAULT_REPLICATES = 20
-DEFAULT_BLOCKS = 8
+BLOCKS = 8  # planted blocks in every study
 DEFAULT_THETA_GRID = tuple(round(0.03 * i, 10) for i in range(11))
 DEFAULT_DEGRADATION_GRID = tuple(round(0.05 * i, 10) for i in range(21))
 DEFAULT_SIM2_LEVELS = (0.01, 0.03, 0.06, 0.1, 0.2, 0.3)
@@ -81,25 +81,32 @@ def _safe_modularity(graph: Graph, partition: Partition) -> float:
     return modularity(graph, partition) if graph.n_edges else 0.0
 
 
+def _check_distinct(values: list, what: str) -> list:
+    """``values`` unchanged; a repeated entry would give rows that share
+    every key column."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{what} has repeated entries")
+    return values
+
+
 def _check_rates(values, what: str) -> list[float]:
     out = [float(x) for x in values]
     if not out:
         raise ValueError(f"{what} must not be empty")
     if not all(0.0 <= x <= 1.0 for x in out):
         raise ValueError(f"{what} entries must lie in [0, 1]")
-    return out
+    return _check_distinct(out, what)
 
 
 def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
-             alpha: float = 0.05,
-             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
+             alpha: float = 0.05) -> list[SimResultRow]:
     """Score the planted partition across network sizes and between rates.
 
     Within rates are drawn uniformly around 0.3 (halfwidth 0.05) per block;
     weights are uniform. Edgeless draws record modularity 0.
     """
-    v_list = [int(v) for v in v_list]
+    v_list = _check_distinct([int(v) for v in v_list], "v_list")
     grid = _check_rates(theta_between_grid, "theta_between_grid")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -107,9 +114,9 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
     def cell(vi: int, ti: int, rep: int):
         v, theta_rs = v_list[vi], grid[ti]
         cell_seed = derive_seed(seed, 1, vi, ti, rep)
-        sizes = equal_block_sizes(v, blocks)
+        sizes = equal_block_sizes(v, BLOCKS)
         part = planted_partition(sizes)
-        diag = sample_theta_within(0.3, 0.05, blocks, derive_rng(cell_seed, 1))
+        diag = sample_theta_within(0.3, 0.05, BLOCKS, derive_rng(cell_seed, 1))
         theta = theta_matrix(diag, theta_rs)
         graph = sample_graph(part.assignment, theta, np.ones(v),
                              derive_rng(cell_seed, 2))
@@ -125,8 +132,7 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
 def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
              degradation_grid=DEFAULT_DEGRADATION_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
-             v: int = DEFAULT_V, alpha: float = 0.05,
-             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
+             v: int = DEFAULT_V, alpha: float = 0.05) -> list[SimResultRow]:
     """Score the reference partition on graphs built from degraded labels.
 
     Within rates are fixed at 0.3. For each degradation fraction the graph
@@ -141,10 +147,10 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
     def cell(li: int, qi: int, rep: int):
         theta_rs, q_frac = levels[li], grid[qi]
         cell_seed = derive_seed(seed, 2, li, qi, rep)
-        sizes = equal_block_sizes(int(v), blocks)
+        sizes = equal_block_sizes(int(v), BLOCKS)
         reference = planted_partition(sizes)
         degraded = degrade_partition(reference, q_frac, derive_rng(cell_seed, 1))
-        theta = theta_matrix(0.3, theta_rs, blocks)
+        theta = theta_matrix(0.3, theta_rs, BLOCKS)
         graph = sample_graph(degraded.assignment, theta, np.ones(int(v)),
                              derive_rng(cell_seed, 2))
         report = csv_report(graph, reference, alpha=alpha)
@@ -169,15 +175,14 @@ def _detect(graph: Graph, algorithm: str, stream) -> Partition:
 def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
              replicates: int = DEFAULT_REPLICATES,
              algorithms=("louvain", "fast_greedy"), seed=0, *,
-             v: int = DEFAULT_V, alpha: float = 0.05,
-             blocks: int = DEFAULT_BLOCKS) -> list[SimResultRow]:
+             v: int = DEFAULT_V, alpha: float = 0.05) -> list[SimResultRow]:
     """Score detection algorithms on shared graphs per replicate.
 
     Algorithms are "louvain", "fast_greedy", or "external:<path>" pointing
     at a partition file over the generated node labels n0..n{v-1}.
     """
     levels = _check_rates(theta_between_levels, "theta_between_levels")
-    algorithms = [str(a) for a in algorithms]
+    algorithms = _check_distinct([str(a) for a in algorithms], "algorithms")
     if not algorithms:
         raise ValueError("algorithms must not be empty")
     for algorithm in algorithms:
@@ -190,9 +195,9 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
     def cell(li: int, rep: int):
         theta_rs = levels[li]
         cell_seed = derive_seed(seed, 3, li, rep)
-        sizes = equal_block_sizes(int(v), blocks)
+        sizes = equal_block_sizes(int(v), BLOCKS)
         planted = planted_partition(sizes)
-        theta = theta_matrix(0.3, theta_rs, blocks)
+        theta = theta_matrix(0.3, theta_rs, BLOCKS)
         graph = sample_graph(planted.assignment, theta, np.ones(int(v)),
                              derive_rng(cell_seed, 1))
         planted_q = _safe_modularity(graph, planted)
@@ -209,14 +214,11 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
                                               range(replicates)))
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def rows_to_tsv(rows) -> str:
     """Tidy TSV with a schema comment and one line per row."""
     lines = [f"# csvnet simulation schema_version={SCHEMA_VERSION}",
              "\t".join(_COLUMNS)]
     for row in rows:
-        lines.append("\t".join(_fmt(getattr(row, col)) for col in _COLUMNS))
+        lines.append("\t".join(fmt_float(x) if isinstance(x, float) else str(x)
+                               for x in (getattr(row, col) for col in _COLUMNS)))
     return "\n".join(lines) + "\n"

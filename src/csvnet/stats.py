@@ -185,24 +185,22 @@ def hypergeom_pmf(x: int, params: HypergeomParams) -> float:
     return float(params.pmf[x - lo]) if lo <= x <= hi else 0.0
 
 
+def _mid_p(x_obs: int, params: HypergeomParams, upper: bool) -> float:
+    """One test of :func:`mid_p_family`, read from ``params.pmf``."""
+    lo, hi = params.support
+    if not lo <= x_obs <= hi:
+        return float(upper == (x_obs < lo))
+    return _tail(params.pmf, x_obs - lo, upper)
+
+
 def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:
     """Mid-p-value of the overenrichment tail: P(X > x) + P(X = x) / 2."""
-    lo, hi = params.support
-    if x_obs < lo:
-        return 1.0
-    if x_obs > hi:
-        return 0.0
-    return _tail(params.pmf, x_obs - lo, True)
+    return _mid_p(x_obs, params, True)
 
 
 def lower_mid_p(x_obs: int, params: HypergeomParams) -> float:
     """Mid-p-value of the underenrichment tail: P(X < x) + P(X = x) / 2."""
-    lo, hi = params.support
-    if x_obs < lo:
-        return 0.0
-    if x_obs > hi:
-        return 1.0
-    return _tail(params.pmf, x_obs - lo, False)
+    return _mid_p(x_obs, params, False)
 
 
 def bh_adjust(pvalues) -> np.ndarray:

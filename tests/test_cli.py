@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from csvnet.cli import main
+from csvnet.simharness import rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
 @pytest.fixture
@@ -138,6 +139,16 @@ def test_compare_newick_unsafe_name_writes_nothing(tmp_path, capsys):
     assert "x(1)" in capsys.readouterr().err
     assert not out_dir.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x(1).tsv", "y.tsv"]
+
+
+def test_compare_names_skip_stems_on_the_command_line(tmp_path):
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    paths = [clique_pair_file(tmp_path, "x/a.tsv"), clique_pair_file(tmp_path, "y/a.tsv"),
+             clique_pair_file(tmp_path, "a-2.tsv")]
+    out_dir = tmp_path / "out"
+    assert main(["compare", *paths, "--out-dir", str(out_dir)]) == 0
+    assert read(out_dir / "D.tsv").splitlines()[0] == "name\ta\ta-3\ta-2"
 
 
 def test_compare_overwrites_existing_out_dir(tmp_path):
@@ -362,6 +373,19 @@ def test_generate_directory_partition_target_replaces_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "part_dir"]
 
 
+@pytest.mark.parametrize("spelling", ["g.tsv", "./g.tsv"])
+def test_generate_rejects_one_file_for_both_outputs(spelling, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("g.tsv").write_text("old\n", encoding="utf-8")
+    assert main(["generate", "--v", "40", "--blocks", "2", "--out-graph", "g.tsv",
+                 "--out-partition", spelling]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert read(tmp_path / "g.tsv") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.tsv"]
+
+
 def test_symlink_target_is_replaced(triangles, tmp_path, capsys):
     graph, _ = triangles
     target = tmp_path / "target_dir"
@@ -444,6 +468,31 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert main(["simulate", "sim3", "--v", "40",
                  "--algorithms", "walktrap"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim3", "--v", "40", "--levels", "0.1", "--algorithms", "louvain", "louvain"],
+    ["sim1", "--v", "40", "40", "--grid", "0.1", "0.1"],
+    ["sim1", "--v", "40", "40", "--grid", "0.1"],
+    ["sim2", "--v", "40", "--levels", "0.1", "--degradation-grid", "0", "0"],
+])
+def test_simulate_rejects_repeated_values(argv, tmp_path, capsys):
+    out = tmp_path / "rows.tsv"
+    assert main(["simulate", *argv, "--replicates", "1", "--out", str(out)]) == 2
+    assert "repeated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sim", ["sim1", "sim2", "sim3"])
+def test_simulate_uses_the_study_defaults(sim, tmp_path):
+    out = tmp_path / "rows.tsv"
+    assert main(["simulate", sim, "--v", "40", "--replicates", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    if sim == "sim1":
+        rows = run_sim1(v_list=(40,), replicates=1, seed=3)
+    else:
+        rows = {"sim2": run_sim2, "sim3": run_sim3}[sim](v=40, replicates=1, seed=3)
+    assert read(out) == rows_to_tsv(rows)
 
 
 @pytest.mark.parametrize("argv", [["sim1", "--grid", "nan"],

@@ -85,6 +85,15 @@ def test_relative_ucsv_zero_denominator_warns():
         assert relative_ucsv(part, complete, complete) == 0.0
 
 
+def test_compare_pair_zero_own_index_warns():
+    # One community covering a complete graph rejects nothing, so its own
+    # index is 0 and both relative indices are undefined.
+    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+    complete = Graph(tuple(f"n{i}" for i in range(10)), np.array(edges))
+    with pytest.warns(UserWarning, match="relative index undefined"):
+        assert compare_pair(complete, complete) == (0.0, 0.0)
+
+
 def test_relative_ucsv_rejects_disjoint_node_sets():
     with pytest.raises(ValueError):
         relative_ucsv(Partition(np.repeat([0, 1], 5), 2),

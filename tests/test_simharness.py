@@ -129,6 +129,19 @@ def test_input_validation():
         run_sim3(algorithms=("walktrap",), replicates=1, v=40)
     with pytest.raises(ValueError):
         run_sim3(algorithms=(), replicates=1, v=40)
+    # Repeated entries would give rows that share every key column.
+    with pytest.raises(ValueError, match="repeated"):
+        run_sim1(v_list=(40, 40), theta_between_grid=(0.1,), replicates=1)
+    with pytest.raises(ValueError, match="repeated"):
+        run_sim1(v_list=(40,), theta_between_grid=(0.1, 0.1), replicates=1)
+    with pytest.raises(ValueError, match="repeated"):
+        run_sim2(theta_between_levels=(0.1,), degradation_grid=(0.5, 0.5),
+                 replicates=1, v=40)
+    with pytest.raises(ValueError, match="repeated"):
+        run_sim3(theta_between_levels=(0.1, 0.1), replicates=1, v=40)
+    with pytest.raises(ValueError, match="repeated"):
+        run_sim3(theta_between_levels=(0.1,), algorithms=("louvain", "louvain"),
+                 replicates=1, v=40)
 
 
 def test_rows_to_tsv_layout():
