@@ -12,12 +12,17 @@ import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
 
 
 _SAVE_BLOCK = 1 << 14  # edges formatted per write in save_graph
+_READ_CHUNK = 1 << 18  # characters read per chunk by _read_records
+# Code points str.split() separates on (all of them are at most U+3000);
+# the last entry stands for every code point above the table.
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
 class GraphFormatError(ValueError):
@@ -42,17 +47,21 @@ class Graph:
             raise ValueError("node labels must be unique")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         n = len(self.node_labels)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
-            if not self.directed:
-                edges = np.sort(edges, axis=1)
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
-                raise ValueError("duplicate edges are not allowed")
+        if np.any((edges < 0) | (edges >= n)):
+            raise ValueError("edge endpoint out of range")
+        u, v = edges[:, 0], edges[:, 1]
+        if np.any(u == v):
+            raise ValueError("self-loops are not allowed")
+        if not self.directed:
+            edges = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
+        # One int64 key per edge orders the edges by (u, v) and puts
+        # duplicates next to each other.
+        key = edges[:, 0] * n + edges[:, 1]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+        edges = edges[order]
         edges.setflags(write=False)
         self.edges = edges
 
@@ -180,22 +189,54 @@ def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partitio
     return Partition(np.array(assignment, dtype=np.int64), q)
 
 
-def _read_records(path: Path, expected: str) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(lineno, first, second)`` for each record of a two-column file.
+def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Yield ``(tokens, linenos)`` per chunk of a two-column file: the
+    records' tokens as ``[first, second, first, second, ...]`` and each
+    record's line number.
 
-    The file is read as UTF-8 with an optional BOM; blank lines and lines
-    starting with '#' are skipped, and any other line must hold exactly two
-    whitespace-separated tokens.
+    The file is read as UTF-8 with an optional BOM and universal newlines,
+    about ``_READ_CHUNK`` characters at a time, each chunk cut after its last
+    line end. Tokens are separated as by ``str.split()``. Blank lines and
+    lines whose first token starts with '#' are skipped, and any other line
+    must hold exactly two tokens.
     """
+    base = 0  # lines before the chunk
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {expected}, got {len(tokens)} tokens")
-            yield lineno, tokens[0], tokens[1]
+        for text in _text_chunks(fh):
+            # Record structure from the code points: each token begins at a
+            # non-space after a space, and its line is the number of line
+            # ends before it.
+            cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+            space = _SPACE[np.minimum(cp, _SPACE.size - 1)]
+            begins = np.flatnonzero(~space & np.append(True, space[:-1]))
+            ends = np.flatnonzero(cp == ord("\n"))
+            line = np.searchsorted(ends, begins)
+            heads = np.flatnonzero(np.diff(line, prepend=-1))  # first token per line
+            counts = np.diff(heads, append=begins.size)
+            record = cp[begins[heads]] != ord("#")
+            bad = np.flatnonzero(record & (counts != 2))
+            if bad.size:
+                record[bad[0]:] = False
+            keep = np.repeat(record, counts).tolist()
+            yield list(compress(text.split(), keep)), base + 1 + line[heads[record]]
+            if bad.size:
+                raise GraphFormatError(f"{path}:{base + 1 + line[heads[bad[0]]]}: "
+                                       f"expected {expected}, got {counts[bad[0]]} tokens")
+            base += ends.size
+
+
+def _text_chunks(fh) -> Iterator[str]:
+    """The text of ``fh`` in pieces of about ``_READ_CHUNK`` characters,
+    each cut after its last line end; a line longer than that is one piece."""
+    pending: list[str] = []
+    while block := fh.read(_READ_CHUNK):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield "".join([*pending, block[:cut]])
+            pending.clear()
+        pending.append(block[cut:])
+    if rest := "".join(pending):
+        yield rest
 
 
 def load_graph(path: str | Path, directed: bool = False) -> Graph:
@@ -207,24 +248,43 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     summary warning with the affected line count.
     """
     path = Path(path)
-    index: dict[str, int] = {}
-    ids = [index.setdefault(lab, len(index))
-           for _, u_lab, v_lab in _read_records(path, "two node labels")
-           for lab in (u_lab, v_lab)]
-    u, v = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    labels, (u, v) = _label_ids(_read_records(path, "two node labels"))
     loop = u == v
     n_loops = int(np.count_nonzero(loop))
     u, v = u[~loop], v[~loop]
     if not directed:
         u, v = np.minimum(u, v), np.maximum(u, v)
-    n = len(index)
-    keys = np.unique(u * n + v)
-    n_dups = u.size - keys.size
+    n, n_pairs = len(labels), u.size
+    keys = np.sort(u * n + v)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     if n_loops:
         warnings.warn(f"{path}: dropped {n_loops} self-loop line(s)", stacklevel=2)
-    if n_dups:
-        warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
-    return Graph(tuple(index), np.stack(np.divmod(keys, n), axis=1), directed=directed)
+    if n_pairs > keys.size:
+        warnings.warn(f"{path}: deduplicated {n_pairs - keys.size} repeated edge line(s)",
+                      stacklevel=2)
+    del u, v  # free the pairs before Graph() makes its own copies
+    return Graph(labels, np.stack(np.divmod(keys, n), axis=1), directed=directed)
+
+
+def _label_ids(records) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels in order of first appearance, and the label ids of the
+    records as a (2, records) array."""
+    # One dict pass maps each token to the position of its label's first
+    # token; numbering those positions in order numbers the labels.
+    index: dict[str, int] = {}
+    positions = count()
+    at = [np.empty(0, dtype=np.int64)]
+    for tokens, _ in records:
+        at.append(np.fromiter(map(index.setdefault, tokens, positions), np.int64,
+                              len(tokens)))
+        # Free this chunk's strings before the next chunk is split: strings
+        # of two chunks side by side leave the kept labels spread over more
+        # allocator arenas, which the process then keeps.
+        del tokens
+    at = np.concatenate(at)  # one position per token
+    rank = np.empty(at.size, dtype=np.int64)
+    rank[np.fromiter(index.values(), np.int64, len(index))] = np.arange(len(index))
+    return tuple(index), rank[at].reshape(-1, 2).T
 
 
 def fmt_float(x) -> str:
@@ -251,12 +311,13 @@ def load_partition(path: str | Path, graph: Graph) -> Partition:
     """Parse a two-column "node_label community_label" file for ``graph``."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, node, comm in _read_records(path, "'node community'"):
-        if node in mapping:
-            raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
-        if node not in graph.label_index:
-            raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
-        mapping[node] = comm
+    for tokens, linenos in _read_records(path, "'node community'"):
+        for lineno, node, comm in zip(linenos.tolist(), tokens[::2], tokens[1::2]):
+            if node in mapping:
+                raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
+            if node not in graph.label_index:
+                raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
+            mapping[node] = comm
     try:
         return partition_from_mapping(graph, mapping)
     except ValueError as exc:
@@ -273,11 +334,14 @@ def save_partition(partition: Partition, labels: Sequence[str], path: str | Path
 
 
 def induced_subgraph(graph: Graph, keep) -> Graph:
-    """Subgraph on ``keep`` (a set of node labels) with all surviving edges."""
+    """Subgraph on ``keep`` (a set of node labels) with all surviving edges;
+    ``graph`` itself, which is immutable, when every node is kept."""
     keep = set(keep)
     kept = [lab for lab in graph.node_labels if lab in keep]
     if not kept:
         raise ValueError("keep set does not intersect the graph's nodes")
+    if len(kept) == graph.n_nodes:
+        return graph
     old_idx = np.array([graph.label_index[lab] for lab in kept], dtype=np.int64)
     remap = np.full(graph.n_nodes, -1, dtype=np.int64)
     remap[old_idx] = np.arange(len(kept))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -145,20 +146,21 @@ def report_to_json(report: CsvReport) -> str:
         "tests": [],
     }
     head = json.dumps(payload, indent=2)
+    if not report.matrix.r.size:
+        return head + "\n"
     f = _json_float
-    # Test directions are the enrichment module's plain-ASCII constants, so
-    # they need no escaping.
-    tests = ",\n".join(
-        f'    {{\n      "r": {r},\n      "s": {s},\n'
+    # One join over the head, the tests and the tail, so the text is built
+    # once. Test directions are the enrichment module's plain-ASCII
+    # constants, so they need no escaping.
+    tests = (
+        f'{sep}    {{\n      "r": {r},\n      "s": {s},\n'
         f'      "direction": "{direction}",\n      "n_obs": {n_obs},\n'
         f'      "mu0": {f(mu0)},\n      "raw_p": {f(raw_p)},\n'
         f'      "adj_p": {f(adj_p)},\n'
         f'      "degenerate": {"true" if degenerate else "false"}\n    }}'
-        for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate
-        in report.matrix.records())
-    if tests:
-        head = head[:-len("[]\n}")] + f"[\n{tests}\n  ]\n}}"
-    return head + "\n"
+        for sep, (r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate)
+        in zip(chain(["[\n"], repeat(",\n")), report.matrix.records()))
+    return "".join(chain([head[:-len("[]\n}")]], tests, ["\n  ]\n}\n"]))
 
 
 def report_to_tsv(report: CsvReport) -> str:

@@ -1,12 +1,14 @@
 """Exact hypergeometric distribution, one-tailed mid-p-values, and the
 Benjamini-Hochberg step-up adjustment.
 
-Every pmf comes from one engine, :func:`support_pmfs`, which takes a whole
-family of parameter triples at once. Rows are grouped into blocks of at most
-``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS`` log-weights, and each row walks its
-support from the low end with the term-ratio recurrence in log space: a
-sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache;
-a :class:`HypergeomParams` object keeps the pmf of its own triple.
+Every pmf comes from one engine, a block walk that takes a whole family of
+parameter triples at once: :func:`mid_p_family` reads its blocks directly,
+and :func:`support_pmfs` hands them out one triple at a time. Rows are
+grouped into blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS``
+log-weights, and each row walks its support from the low end with the
+term-ratio recurrence in log space: a sequential cumsum of
+log pmf(x+1) / pmf(x). There is no per-triple cache; a
+:class:`HypergeomParams` object keeps the pmf of its own triple.
 
 Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
 row stops once it is past its mode and more than ``_CUT`` = 750 nats below
@@ -19,10 +21,14 @@ supports about 2,000 long.
 Bit-identity with the whole-support walk. A sequential cumsum's prefix never
 depends on later entries, and the walk continues across a window edge as
 ``cumsum([carry, ratios...])``, so every log-weight, each row maximum and
-each exp() are the same floats as over the whole support. The weights then
-go into a zero row of the full support length that is normalized and
-tail-summed exactly as before, so numpy's pairwise sums group the same
-numbers: the zeros past the window are the same zeros.
+each exp() are the same floats as over the whole support. Sums are grouped
+sums: each normalizer and each tail is a slice of the zero-padded support,
+copied into a zero row of the slice's own length, and the rows of one
+(start, stop) range are summed in one axis-1 ``sum``. numpy sums every row
+of a C-contiguous array with the pairwise sum of that 1-D row, so each sum
+adds the same numbers in the same grouping as ``pmf.sum()`` and
+``pmf[j + 1:].sum()`` over the whole support: the zeros past the window are
+the same zeros.
 
 Tail sums always accumulate the requested side directly from the pmf, so
 deep tails keep full relative precision instead of collapsing into
@@ -81,6 +87,19 @@ def support_pmfs(N, K, n) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, pmf)`` for every parameter triple ``i`` of the broadcast
     arrays: the unit-normalized pmf over the whole support, indexed from its
     lower end. Triples come in block order, not input order."""
+    for idx, size, pmfs in _pmf_blocks(N, K, n):
+        for i, length, row in zip(idx.tolist(), size.tolist(), pmfs):
+            pmf = np.zeros(length)
+            w = min(row.size, length)
+            pmf[:w] = row[:w]
+            yield i, pmf
+
+
+def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(idx, size, pmfs)`` for each set of parameter triples of the
+    broadcast arrays that stop together: triple ``idx[k]`` has support length
+    ``size[k]``, row ``k`` of ``pmfs`` holds the first entries of its pmf,
+    and every later entry is exactly zero."""
     N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
     lo, hi = _supports(N, K, n)
     size = hi - lo + 1
@@ -123,8 +142,8 @@ def _extend(logw: np.ndarray, lo, K, n, c, width: int) -> np.ndarray:
 
 
 def _block_pmfs(idx, lo, size, K, n, c, width: int):
-    """Walk one block of rows, ``width`` columns at first, and yield each
-    row's pmf as soon as it has stopped."""
+    """Walk one block of rows, ``width`` columns at first, and yield
+    ``(idx, size, pmfs)`` for each set of rows as soon as they have stopped."""
     logw = _extend(np.zeros((idx.size, 1)), lo, K, n, c, width)
     while True:
         done = size <= width
@@ -136,18 +155,38 @@ def _block_pmfs(idx, lo, size, K, n, c, width: int):
         part = logw[done]
         part[np.arange(width) >= size[done][:, None]] = -np.inf
         weights = np.exp(part - part.max(axis=1)[:, None])
-        for i, length, row in zip(idx[done].tolist(), size[done].tolist(), weights):
-            pmf = np.zeros(length)
-            w = min(width, length)
-            pmf[:w] = row[:w]
-            pmf[:w] /= pmf.sum()
-            yield i, pmf
+        rows = np.arange(weights.shape[0])
+        weights /= _sums(weights, rows, np.zeros_like(rows), size[done])[:, None]
+        yield idx[done], size[done], weights
         if done.all():
             return
         keep = ~done
         idx, lo, size, K, n, c = (a[keep] for a in (idx, lo, size, K, n, c))
         width = int(min(2 * width, size.max()))
         logw = _extend(logw[keep], lo, K, n, c, width)
+
+
+def _sums(w: np.ndarray, rows: np.ndarray, begin: np.ndarray,
+          end: np.ndarray) -> np.ndarray:
+    """``w[rows[k], begin[k]:end[k]].sum()`` for each k, with ``w`` read as
+    zero past its last column.
+
+    Each slice is copied into a zero row of its own length, and the slices
+    of one ``(begin, end)`` range are summed together along axis 1, which
+    sums each row with numpy's pairwise sum of that 1-D slice: the same
+    numbers in the same grouping as a slice of the zero-padded support.
+    """
+    out = np.empty(rows.size)
+    key = begin * (int(end.max(initial=0)) + 1) + end
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for k in np.split(order, heads)[1:]:
+        a, b = int(begin[k[0]]), int(end[k[0]])
+        stop = max(a, min(b, w.shape[1]))
+        part = np.zeros((k.size, b - a))
+        part[:, :stop - a] = w[rows[k], a:stop]
+        out[k] = part.sum(axis=1)
+    return out
 
 
 def _tail(pmf: np.ndarray, j: int, upper: bool) -> float:
@@ -169,14 +208,24 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     out = np.where(upper, x < lo, x > hi).astype(np.float64)
     inside = np.flatnonzero((lo <= x) & (x <= hi))
     # One pmf per distinct triple; its tests then differ only in x and side.
-    triples, which = np.unique(np.stack([N, K, n], axis=1)[inside], axis=0,
-                               return_inverse=True)
-    by_triple = np.split(inside[np.argsort(which, kind="stable")],
-                         np.cumsum(np.bincount(which))[:-1])
-    at, up = (x - lo).tolist(), upper.tolist()
-    for t, pmf in support_pmfs(*triples.T):
-        for k in by_triple[t].tolist():
-            out[k] = _tail(pmf, at[k], up[k])
+    # by_triple lists the tests triple by triple: triple t's start at first[t].
+    triple = np.stack([N, K, n])[:, inside]
+    order = np.lexsort(triple[::-1])
+    by_triple, triple = inside[order], triple[:, order]
+    first = np.flatnonzero(np.diff(triple, axis=1, prepend=-1).any(axis=0))
+    count = np.diff(first, append=by_triple.size)
+    j = x - lo
+    for idx, size, pmfs in _pmf_blocks(*triple[:, first]):
+        # The tests of these triples, and the pmf row of each.
+        per = count[idx]
+        row = np.repeat(np.arange(idx.size), per)
+        tests = by_triple[np.repeat(first[idx] - (np.cumsum(per) - per), per)
+                          + np.arange(row.size)]
+        at, up = j[tests], upper[tests]
+        width = pmfs.shape[1]
+        point = np.where(at < width, pmfs[row, np.minimum(at, width - 1)], 0.0)
+        side = _sums(pmfs, row, np.where(up, at + 1, 0), np.where(up, size[row], at))
+        out[tests] = np.minimum(0.5 * point + side, 1.0)
     return out.reshape(shape)
 
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import block_link_counts, line_loop_load_graph
 
+from csvnet import graph as graph_module
 from csvnet.graph import (
     Graph,
     GraphFormatError,
@@ -27,8 +28,12 @@ def triangle() -> Graph:
     return Graph(("a", "b", "c"), [(0, 1), (1, 2), (0, 2)])
 
 
+def path3_of(a: str, b: str, c: str) -> Graph:
+    return Graph((a, b, c), [(0, 1), (1, 2)])
+
+
 def path3() -> Graph:
-    return Graph(("a", "b", "c"), [(0, 1), (1, 2)])
+    return path3_of("a", "b", "c")
 
 
 def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
@@ -59,6 +64,24 @@ def test_graph_rejects_bad_input():
         Graph(("a", "b"), [(0, 0)])
     with pytest.raises(ValueError):
         Graph(("a", "b"), [(0, 1), (1, 0)])
+
+
+def test_graph_same_from_any_edge_order():
+    rng = np.random.default_rng(6)
+    g = random_graph(rng, 40, 150)
+    shuffled = g.edges[rng.permutation(g.n_edges)]
+    flip = rng.random(g.n_edges) < 0.5
+    shuffled[flip] = shuffled[flip, ::-1]
+    h = Graph(g.node_labels, shuffled)
+    assert h.node_labels == g.node_labels and np.array_equal(h.edges, g.edges)
+    arrows = Graph(g.node_labels, shuffled, directed=True)
+    ordered = shuffled[np.lexsort((shuffled[:, 1], shuffled[:, 0]))]
+    assert np.array_equal(arrows.edges, ordered)
+    assert np.array_equal(Graph(g.node_labels, ordered, directed=True).edges, ordered)
+    with pytest.raises(ValueError, match="duplicate edges"):
+        Graph(("a", "b", "c"), [(0, 1), (2, 0), (1, 0)])
+    with pytest.raises(ValueError, match="self-loops"):
+        Graph(("a", "b"), [(0, 1), (1, 1)], directed=True)
 
 
 def test_directed_keeps_both_orientations():
@@ -171,10 +194,16 @@ def test_load_partition_strips_utf8_bom(tmp_path):
     assert load_partition(f, path3()).assignment.tolist() == [0, 0, 1]
 
 
+# Every separator of str.split() that is not a line end in a text-mode file:
+# the ASCII ones, the information separators, NEL and the Unicode spaces.
+_SEPARATORS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+               "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000")
+
 # Byte inputs: arbitrary bytes, plus text over the format's own alphabet so
 # that some draws parse.
 _FILE_BYTES = (st.binary(max_size=60)
-               | st.text(alphabet="abc xy\t\n#\ufeff", max_size=40).map(str.encode))
+               | st.text(alphabet="abcxy\n\r#\ufeff" + "".join(_SEPARATORS),
+                         max_size=40).map(str.encode))
 
 
 @settings(max_examples=200, deadline=None,
@@ -211,7 +240,8 @@ _LABELS = st.sampled_from(["a", "b", "c", "d", "n10", "x#", "#y", "\u00e9"])
 @st.composite
 def edge_list_texts(draw) -> str:
     """Edge lists with repeated, reversed, self-loop, comment, blank and
-    (rarely) malformed lines, mixed separators and line endings."""
+    (rarely) malformed lines, every str.split() separator, and LF, CRLF or
+    lone CR line ends."""
     lines: list[str] = []
     pairs: list[tuple[str, str]] = []
     kinds = ["edge"] * 4 + ["repeat"] * 3 + ["loop", "comment", "blank", "bad"]
@@ -229,17 +259,17 @@ def edge_list_texts(draw) -> str:
             lines.append(draw(st.sampled_from(["# header", "#a b", " # x y z"])))
             continue
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\x0c", "\u3000 "])))
             continue
         else:
             lines.append(" ".join(draw(st.lists(_LABELS, min_size=1, max_size=3)
                                        .filter(lambda t: len(t) != 2))))
             continue
         pairs.append((u, v))
-        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
-        pad = draw(st.sampled_from(["", " ", "\t"]))
+        sep = "".join(draw(st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=3)))
+        pad = "".join(draw(st.lists(st.sampled_from(_SEPARATORS), max_size=2)))
         lines.append(f"{pad}{u}{sep}{v}{pad}")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return bom + newline.join(lines) + draw(st.sampled_from(["", newline]))
 
@@ -263,6 +293,45 @@ def test_load_graph_matches_line_loop_oracle(tmp_path, text, directed):
     f.write_bytes(text.encode("utf-8"))
     assert (_load_outcome(load_graph, f, directed)
             == _load_outcome(line_loop_load_graph, f, directed))
+
+
+# Records, comments, blank lines, CRLF and lone CR line ends, a BOM, Unicode
+# separators and a line longer than the small chunks below.
+_CHUNKY = ("\ufeff# header line\r\nalpha beta\r\n\r\n  # c d e\nbeta\u3000gamma\r"
+           "gamma alpha\n\x0c\n" + "x" * 40 + "\t\u2028" + "y" * 30
+           + "\nbeta alpha\ndelta\x85alpha")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+def test_records_straddling_chunk_edges_load_as_before(tmp_path, monkeypatch, chunk):
+    f = tmp_path / "g.tsv"
+    f.write_bytes(_CHUNKY.encode("utf-8"))
+    expect = _load_outcome(line_loop_load_graph, f, False)
+    assert expect[0] == ("alpha", "beta", "gamma", "x" * 40, "y" * 30, "delta")
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert _load_outcome(load_graph, f, False) == expect
+    p = tmp_path / "p.tsv"
+    p.write_bytes("\ufeffalpha A\r\n# note\rbeta B\n\ngamma\u3000A\n".encode("utf-8"))
+    partition = load_partition(p, path3_of("alpha", "beta", "gamma"))
+    assert partition.assignment.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("chunk", [4, 9, 1 << 18])
+def test_first_bad_line_named_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    f = tmp_path / "g.tsv"
+    f.write_text("a b\n# x y z\nb c\na b c\n" + "c d\n" * 6 + "d\n")
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.tsv:4: expected two node labels, got 3 tokens"):
+        load_graph(f)
+    # A record error before a malformed line in the same chunk comes first.
+    p = tmp_path / "p.tsv"
+    p.write_text("a X\nb Y\na Z\nc\n")
+    with pytest.raises(GraphFormatError, match=r"p\.tsv:3: duplicate line for node 'a'"):
+        load_partition(p, path3())
+    p.write_text("a X\nb Y\nc Y Z\nz W\n")
+    with pytest.raises(GraphFormatError, match=r"p\.tsv:3: expected 'node community', got 3"):
+        load_partition(p, path3())
 
 
 def test_partition_round_trip(tmp_path):
@@ -302,6 +371,13 @@ def test_induced_subgraph():
     assert np.array_equal(full.edges, g.edges)
     with pytest.raises(ValueError):
         induced_subgraph(g, {"x"})
+
+
+def test_induced_subgraph_keeping_every_node_is_the_graph():
+    g = triangle()
+    assert induced_subgraph(g, set(g.node_labels)) is g
+    assert induced_subgraph(g, {"a", "b", "c", "z"}) is g
+    assert induced_subgraph(g, {"a", "c"}) is not g
 
 
 def test_induced_subgraph_idempotent():

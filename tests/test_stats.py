@@ -198,6 +198,36 @@ def test_family_bit_identical_giant_community():
     assert_family_matches(np.full(3, n_total), d[[0, 1, 1]], d[[0, 1, 0]])
 
 
+def test_family_bit_identical_at_the_validate_benchmark_shape():
+    # The validate benchmark's shape: q = 200 planted communities of 100
+    # nodes, about 200k edges, 20,100 tests, built as in
+    # benchmarks/test_bench_family.py. Many triples are shared by two tests
+    # or more, blocks mix supports of many lengths, and each row is padded
+    # from a window of a few hundred columns to a support about 2,000 long.
+    q, v, m = 200, 20_000, 200_000
+    rng = np.random.default_rng([5, q])
+    block = np.arange(v) // 100
+    u = rng.integers(0, v, size=m)
+    w = np.where(rng.random(m) < 0.7, block[u] * 100 + rng.integers(0, 100, size=m),
+                 rng.integers(0, v, size=m))
+    keep = u != w
+    edges = np.unique(np.sort(np.stack([u[keep], w[keep]], axis=1), axis=1), axis=0)
+    stubs = np.bincount(block[edges.ravel()], minlength=q)
+    links = np.bincount(block[edges[:, 0]] * q + block[edges[:, 1]], minlength=q * q)
+    links = links.reshape(q, q) + links.reshape(q, q).T
+    r, s = np.triu_indices(q)
+    N, K, n, x, upper = 2 * len(edges), stubs[s], stubs[r], links[r, s], r == s
+    got = mid_p_family(x, N, K, n, upper)
+    assert got.size == 20_100
+    tests: dict[tuple, list[int]] = {}
+    for k, key in enumerate(zip(K.tolist(), n.tolist(), upper.tolist())):
+        tests.setdefault(key, []).append(k)
+    assert len(tests) < 15_000
+    for (k_, n_, up), ks in tests.items():
+        expect = full_support_mid_p(x[ks].tolist(), N, k_, n_, up)
+        assert got[ks].tolist() == expect, (k_, n_, up)
+
+
 def test_scalar_api_reads_the_family_engine():
     for N, K, n in [(20_000, 600, 600), (1_000, 900, 800), (50, 0, 7), (1, 1, 1)]:
         p = HypergeomParams(N, K, n)
