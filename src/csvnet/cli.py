@@ -135,8 +135,6 @@ def _unique_names(paths: list[str]) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.graphs) < 2:
         raise ValueError("compare needs at least two graph files")
-    if args.min_size < 1:
-        raise ValueError("min_size must be at least 1")
     names = _unique_names(args.graphs)
     for name in names:
         check_newick_label(name)

@@ -1,8 +1,8 @@
 """Community detection and hierarchical clustering.
 
-Louvain and the CNM fast-greedy agglomeration both start from the graph's
-cached CSR adjacency; Louvain levels are weighted pair arrays that carry
-self-loop weight after aggregation.
+Louvain and CNM fast greedy both work on per-node neighbour -> weight dicts
+built from the edge pairs by ``_adjacency``; Louvain levels are weighted pair
+arrays that carry self-loop weight after aggregation.
 Complete linkage operates on labeled distance matrices. Newick is written
 and read in one non-recursive pass each, so any tree that ``to_newick``
 writes, however deep, reads back with ``from_newick``.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .graph import Graph, Partition, first_appearance_ids, fmt_float, symmetric_csr
+from .graph import Graph, Partition, first_appearance_ids, fmt_float
 
 _GAIN_EPS = 1e-12
 
@@ -38,6 +38,17 @@ def modularity(graph: Graph, partition: Partition) -> float:
                     partition.assignment, partition.q, 2.0 * m)
 
 
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray,
+               w: np.ndarray) -> list[dict[int, float]]:
+    """Each node's neighbour -> weight dict for the distinct undirected
+    pairs ``(u[k], v[k])`` of weight ``w[k]``."""
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
+        adj[a][b] = x
+        adj[b][a] = x
+    return adj
+
+
 # --- Louvain -----------------------------------------------------------------
 #
 # Every weight and degree is a sum of unit edge weights, so each sum is exact
@@ -54,8 +65,7 @@ def _level_q(u: np.ndarray, v: np.ndarray, w: np.ndarray, loop: np.ndarray,
     return float(np.sum(inside / two_w - (tot / two_w) ** 2))
 
 
-def _local_pass(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-                k: np.ndarray, two_w: float,
+def _local_pass(adj: list[dict[int, float]], k: np.ndarray, two_w: float,
                 rng: np.random.Generator) -> tuple[list[int], bool]:
     """One level of greedy node moves; returns (community ids, any move made).
 
@@ -65,11 +75,7 @@ def _local_pass(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
     by _GAIN_EPS.
     """
     n = k.size
-    bounds = indptr.tolist()
-    flat_nbrs, flat_wts = indices.tolist(), weights.tolist()
-    nbrs = [flat_nbrs[bounds[i]:bounds[i + 1]] for i in range(n)]
-    wts = [flat_wts[bounds[i]:bounds[i + 1]] for i in range(n)]
-    links = [dict(zip(nbrs[i], wts[i])) for i in range(n)]
+    links = [dict(row) for row in adj]
     k = k.tolist()
     comm = list(range(n))
     tot = list(k)
@@ -92,7 +98,7 @@ def _local_pass(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
                 continue
             comm[i] = best_c
             moves += 1
-            for j, w in zip(nbrs[i], wts[i]):
+            for j, w in adj[i].items():
                 row_j = links[j]
                 left = row_j[ci] - w
                 if left:
@@ -130,14 +136,12 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     w = np.ones(graph.n_edges)
     loop = np.zeros(n)
-    indptr, indices = graph.csr
-    weights = np.ones(indices.size)
     two_w = 2.0 * graph.n_edges
     node_map = np.arange(n)
     history: list[float] = []
     while True:
         k = np.bincount(u, w, n) + np.bincount(v, w, n) + loop
-        comm, improved = _local_pass(indptr, indices, weights, k, two_w, rng)
+        comm, improved = _local_pass(_adjacency(n, u, v, w), k, two_w, rng)
         dense_list, n_comm = first_appearance_ids(comm)
         dense = np.asarray(dense_list, dtype=np.int64)
         history.append(_level_q(u, v, w, loop, k, dense, n_comm, two_w))
@@ -153,8 +157,6 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
                                   + np.maximum(cu, cv)[cross], return_inverse=True)
         w = np.bincount(inverse, w[cross], keys.size)
         u, v, n = keys // n_comm, keys % n_comm, n_comm
-        indptr, indices, slot = symmetric_csr(n, u, v)
-        weights = np.concatenate([w, w])[slot]
     final, q = first_appearance_ids(node_map.tolist())
     return Partition(np.asarray(final), q), history
 
@@ -193,9 +195,7 @@ def fast_greedy(graph: Graph) -> Partition:
     n = graph.n_nodes
     two_mm = 2.0 * m * m
     deg = [float(d) for d in graph.degrees.tolist()]
-    indptr, indices = graph.csr
-    bounds, flat = indptr.tolist(), indices.tolist()
-    links = [dict.fromkeys(flat[bounds[i]:bounds[i + 1]], 1.0) for i in range(n)]
+    links = _adjacency(n, graph.edges[:, 0], graph.edges[:, 1], np.ones(m))
     # Row entries are (-ΔQ, neighbour, neighbour's stamp); a community's
     # stamp moves whenever it absorbs another or is absorbed, which voids
     # its old entries in every row. An entry not void is exact: the pair's

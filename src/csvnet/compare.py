@@ -18,7 +18,12 @@ import numpy as np
 from ._rng import derive_rng
 from .clustering import Dendrogram, DistanceMatrix, complete_linkage, louvain
 from .graph import Graph, Partition, fmt_float, induced_subgraph
-from .indices import csv_report
+from .indices import _check_alpha, csv_report
+
+
+def _check_min_size(min_size: int) -> None:
+    if min_size < 1:
+        raise ValueError("min_size must be at least 1")
 
 
 def filter_small_communities(partition: Partition,
@@ -28,8 +33,7 @@ def filter_small_communities(partition: Partition,
     Returns the indices of surviving nodes (ascending) and the re-indexed
     partition over them; community ids densify in ascending old-id order.
     """
-    if min_size < 1:
-        raise ValueError("min_size must be at least 1")
+    _check_min_size(min_size)
     sizes = np.bincount(partition.assignment, minlength=partition.q)
     survivors = np.flatnonzero(sizes > min_size)
     if survivors.size == 0:
@@ -155,7 +159,8 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
     """Pairwise relative indices for named graphs, plus S and D matrices.
 
     Pair failures (no common nodes, no surviving communities, edgeless
-    overlap) are recorded on the pair and leave zero, undefined entries.
+    overlap) are recorded on the pair and leave zero, undefined entries; bad
+    arguments raise before any pair runs.
     """
     items = [(str(name), g) for name, g in graphs]
     names = tuple(name for name, _ in items)
@@ -163,6 +168,8 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
         raise ValueError("need at least two graphs to compare")
     if len(set(names)) != len(names):
         raise ValueError("graph names must be unique")
+    _check_alpha(alpha)
+    _check_min_size(min_size)
     n = len(items)
 
     def one_pair(i: int, j: int) -> PairComparison:

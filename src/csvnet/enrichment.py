@@ -90,6 +90,8 @@ class EnrichmentMatrix:
             col = np.array(getattr(self, name), dtype=dtype)
             if col.shape != (expect,):
                 raise ValueError(f"expected {expect} results, got {col.size} in {name}")
+            if dtype is np.float64 and not np.isfinite(col).all():
+                raise ValueError(f"non-finite value in {name}")
             col.setflags(write=False)
             setattr(self, name, col)
 

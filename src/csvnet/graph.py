@@ -33,8 +33,8 @@ class GraphFormatError(ValueError):
 class Graph:
     """A loop-free simple graph with string node labels.
 
-    Immutable after construction: the edge array and the cached degree and
-    adjacency arrays are marked read-only.
+    Immutable after construction: the edge array and the cached degree
+    arrays are marked read-only.
     """
 
     node_labels: tuple[str, ...]
@@ -99,36 +99,6 @@ class Graph:
         deg = np.bincount(self.edges[:, 1], minlength=self.n_nodes)
         deg.setflags(write=False)
         return deg
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric adjacency as ``(indptr, indices)`` (undirected graphs only).
-
-        Node ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]`` in
-        ascending order. Built on first use.
-        """
-        if self.directed:
-            raise ValueError("the adjacency is only built for undirected graphs")
-        indptr, indices, _ = symmetric_csr(self.n_nodes, self.edges[:, 0], self.edges[:, 1])
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
-
-
-def symmetric_csr(n: int, u: np.ndarray, v: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR rows over ``n`` nodes for the undirected pairs ``(u[k], v[k])``.
-
-    Returns ``(indptr, indices, slot)``; each row lists its neighbours in
-    ascending order, and entry ``t`` comes from pair ``slot[t] % len(u)``,
-    so per-pair values ``x`` follow as ``np.concatenate([x, x])[slot]``.
-    """
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    slot = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[slot], slot
 
 
 @dataclass(eq=False)

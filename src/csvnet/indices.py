@@ -9,7 +9,6 @@ never reject, so partitions with dead communities score lower.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -116,15 +115,6 @@ def csv_report(graph: Graph, partition: Partition, alpha: float = 0.05) -> CsvRe
                      per_community, matrix)
 
 
-def _json_float(x: float) -> str:
-    """``x`` as ``json.dumps`` writes a float."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return fmt_float(x)
-
-
 def report_to_json(report: CsvReport) -> str:
     """Serialize with a fixed field order, trailing newline, LF only.
 
@@ -148,10 +138,11 @@ def report_to_json(report: CsvReport) -> str:
     head = json.dumps(payload, indent=2)
     if not report.matrix.r.size:
         return head + "\n"
-    f = _json_float
+    f = fmt_float
     # One join over the head, the tests and the tail, so the text is built
     # once. Test directions are the enrichment module's plain-ASCII
-    # constants, so they need no escaping.
+    # constants, so they need no escaping, and every test float is finite
+    # (EnrichmentMatrix checks), so its repr is what json writes.
     tests = (
         f'{sep}    {{\n      "r": {r},\n      "s": {s},\n'
         f'      "direction": "{direction}",\n      "n_obs": {n_obs},\n'

@@ -1,16 +1,23 @@
-"""The package's public surface: exported names, test-like names, and the
-module bindings that the benchmark's tracer wraps."""
+"""The package's public surface: exported names, test-like names, the
+module bindings that the benchmark's tracer wraps, and the pytest-benchmark
+files that time it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import csvnet
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
 
 
 def csvnet_modules():
@@ -48,3 +55,17 @@ def test_traced_bindings_resolve():
     missing = [f"csvnet.{module}.{attr}" for module, attr, _ in bindings
                if not hasattr(importlib.import_module(f"csvnet.{module}"), attr)]
     assert missing == []
+
+
+def test_benchmark_files_run():
+    # benchmarks/ lies outside testpaths; run each of its cases once, untimed,
+    # so a name it uses cannot vanish from the package unnoticed.
+    pytest.importorskip("pytest_benchmark")
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = os.environ | {"PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
+         "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

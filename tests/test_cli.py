@@ -131,6 +131,16 @@ def test_compare_disjoint_labels_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag", [["--alpha", "2"], ["--min-size", "0"]])
+def test_compare_bad_level_one_error_line(tmp_path, capsys, flag):
+    paths = [clique_pair_file(tmp_path, f"g{i}.tsv", k=6 + i) for i in range(3)]
+    out_dir = tmp_path / "never"
+    assert main(["compare", *paths, *flag, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_compare_newick_unsafe_name_writes_nothing(tmp_path, capsys):
     g1 = clique_pair_file(tmp_path, "x(1).tsv")
     g2 = clique_pair_file(tmp_path, "y.tsv")

@@ -99,13 +99,19 @@ def test_modularity_bridged_triangles_exact():
     assert abs(modularity(graph, part) - 5.0 / 14.0) < 1e-12
 
 
-def test_modularity_rejects_edgeless_and_directed():
+@pytest.mark.parametrize("func", [
+    lambda graph: modularity(graph, Partition(np.zeros(2, dtype=np.int64), 1)),
+    lambda graph: louvain(graph, 0),
+    lambda graph: louvain_with_history(graph, 0),
+    fast_greedy,
+], ids=["modularity", "louvain", "louvain_with_history", "fast_greedy"])
+def test_modularity_rejects_edgeless_and_directed(func):
     empty = Graph(("a", "b"), np.empty((0, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        modularity(empty, Partition(np.zeros(2, dtype=np.int64), 1))
+    with pytest.raises(ValueError, match="at least one edge"):
+        func(empty)
     arrows = Graph(("a", "b"), np.array([[0, 1]]), directed=True)
-    with pytest.raises(ValueError):
-        modularity(arrows, Partition(np.zeros(2, dtype=np.int64), 1))
+    with pytest.raises(ValueError, match="undirected"):
+        func(arrows)
 
 
 def test_modularity_relabel_invariance():

@@ -178,6 +178,12 @@ def test_compare_all_input_validation():
         compare_all([("A", graph)])
     with pytest.raises(ValueError, match="unique"):
         compare_all([("A", graph), ("A", graph)])
+    # Bad levels are rejected once, up front, not recorded on every pair.
+    for alpha in (0.0, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha out of range"):
+            compare_all([("A", graph), ("B", graph)], alpha=alpha)
+    with pytest.raises(ValueError, match="min_size must be at least 1"):
+        compare_all([("A", graph), ("B", graph)], min_size=0)
 
 
 def test_per_pair_details_populated():

@@ -301,3 +301,11 @@ def test_matrix_columns_and_lookup():
     with pytest.raises(ValueError, match="expected 3 results"):
         EnrichmentMatrix(2, False, r=[0, 1], s=[0, 1], n_obs=[0, 0], mu0=[0.0, 0.0],
                          raw_p=[0.5, 0.5], adj_p=[0.5, 0.5], degenerate=[False, False])
+    columns = dict(r=[0, 1, 0], s=[0, 1, 1], n_obs=[0, 0, 0], mu0=[0.0, 0.0, 0.0],
+                   raw_p=[0.5, 0.5, 0.5], adj_p=[0.5, 0.5, 0.5],
+                   degenerate=[False, False, False])
+    assert EnrichmentMatrix(2, False, **columns).q == 2
+    for name in ("mu0", "raw_p", "adj_p"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"non-finite value in {name}"):
+                EnrichmentMatrix(2, False, **(columns | {name: [0.5, bad, 0.5]}))
