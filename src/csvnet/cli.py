@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import derive_rng
 from .clustering import check_newick_label, fast_greedy, louvain, to_newick
-from .compare import compare_all, matrix_tsv
+from .compare import SCHEMA_VERSION, compare_all, matrix_tsv
 from .dcsbm import (
     DcsbmConfig,
     equal_block_sizes,
@@ -43,7 +43,7 @@ from .graph import (
     save_partition,
 )
 from .indices import csv_report, report_to_json, report_to_tsv
-from .simharness import SCHEMA_VERSION, rows_to_tsv, run_sim1, run_sim2, run_sim3
+from .simharness import rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
 def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:

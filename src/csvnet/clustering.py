@@ -24,13 +24,18 @@ from .graph import Graph, Partition, first_appearance_ids, fmt_float
 _GAIN_EPS = 1e-12
 
 
+def _edge_count(graph: Graph, what: str) -> int:
+    """Edges of ``graph``, which ``what`` needs undirected with at least one."""
+    if graph.directed:
+        raise ValueError(f"{what} operates on undirected graphs")
+    if graph.n_edges == 0:
+        raise ValueError(f"{what} needs at least one edge")
+    return graph.n_edges
+
+
 def modularity(graph: Graph, partition: Partition) -> float:
     """Newman-Girvan Q: within-edge fraction minus its degree-model expectation."""
-    if graph.directed:
-        raise ValueError("modularity is defined here for undirected graphs")
-    m = graph.n_edges
-    if m == 0:
-        raise ValueError("modularity needs at least one edge")
+    m = _edge_count(graph, "modularity")
     if partition.n_nodes != graph.n_nodes:
         raise ValueError("partition does not match graph size")
     return _level_q(graph.edges[:, 0], graph.edges[:, 1], np.ones(m),
@@ -127,16 +132,13 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
     self-loop weight; aggregation sums pair weights per community pair
     (Blondel et al. 2008).
     """
-    if graph.directed:
-        raise ValueError("louvain operates on undirected graphs")
-    if graph.n_edges == 0:
-        raise ValueError("louvain needs at least one edge")
+    m = _edge_count(graph, "louvain")
     rng = derive_rng(seed)
     n = graph.n_nodes
     u, v = graph.edges[:, 0], graph.edges[:, 1]
-    w = np.ones(graph.n_edges)
+    w = np.ones(m)
     loop = np.zeros(n)
-    two_w = 2.0 * graph.n_edges
+    two_w = 2.0 * m
     node_map = np.arange(n)
     history: list[float] = []
     while True:
@@ -187,11 +189,7 @@ def fast_greedy(graph: Graph) -> Partition:
     its entry went void, the row drops its void entries, is republished,
     and the next maximum is popped.
     """
-    if graph.directed:
-        raise ValueError("fast_greedy operates on undirected graphs")
-    m = graph.n_edges
-    if m == 0:
-        raise ValueError("fast_greedy needs at least one edge")
+    m = _edge_count(graph, "fast_greedy")
     n = graph.n_nodes
     two_mm = 2.0 * m * m
     deg = [float(d) for d in graph.degrees.tolist()]

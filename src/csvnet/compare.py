@@ -20,6 +20,8 @@ from .clustering import Dendrogram, DistanceMatrix, complete_linkage, louvain
 from .graph import Graph, Partition, fmt_float, induced_subgraph
 from .indices import _check_alpha, csv_report
 
+SCHEMA_VERSION = 1  # of the summary.json that ``csvnet compare`` writes
+
 
 def _check_min_size(min_size: int) -> None:
     if min_size < 1:
@@ -147,6 +149,8 @@ def compare_pair(g1: Graph, g2: Graph, alpha: float = 0.05, min_size: int = 5,
     Returns (R(P1|G2), R(P2|G1)). The optional names feed the per-graph
     random streams, keeping batch comparisons order-independent.
     """
+    _check_alpha(alpha)
+    _check_min_size(min_size)
     detail = _pair_detail(g1, g2, alpha, min_size, seed, use_wcsv,
                           (str(names[0]), str(names[1])))
     if not (detail.defined_ij and detail.defined_ji):

@@ -35,6 +35,28 @@ from .graph import Graph, Partition
 _BUFFER = 1 << 16
 
 
+def _check_theta(theta) -> np.ndarray:
+    """``theta`` as floats: square, symmetric, with entries in [0, 1]."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValueError("theta must be a square matrix")
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):
+        raise ValueError("theta entries must lie in [0, 1]")
+    if not np.allclose(theta, theta.T, atol=1e-12, rtol=0.0):
+        raise ValueError("theta must be symmetric")
+    return theta
+
+
+def _check_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as floats: one per node, each positive and finite."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"expected {n} node weights")
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise ValueError("weights must be positive and finite")
+    return w
+
+
 @dataclass(eq=False)
 class DcsbmConfig:
     """Planted-partition generator configuration."""
@@ -49,20 +71,10 @@ class DcsbmConfig:
         if not self.block_sizes or min(self.block_sizes) < 1:
             raise ValueError("block sizes must be positive")
         q = len(self.block_sizes)
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.shape != (q, q):
+        self.theta = _check_theta(self.theta)
+        if len(self.theta) != q:
             raise ValueError(f"theta must be {q}x{q}")
-        if not np.all((theta >= 0.0) & (theta <= 1.0)):
-            raise ValueError("theta entries must lie in [0, 1]")
-        if not np.allclose(theta, theta.T, atol=1e-12, rtol=0.0):
-            raise ValueError("theta must be symmetric")
-        self.theta = theta
-        v = sum(self.block_sizes)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (v,):
-            raise ValueError(f"expected {v} node weights")
-        if w.min() <= 0.0:
-            raise ValueError("weights must be positive")
+        w = _check_weights(self.weights, sum(self.block_sizes))
         sums = np.bincount(planted_partition(self.block_sizes).assignment,
                            weights=w, minlength=q)
         if not np.allclose(sums, self.block_sizes, atol=1e-9, rtol=0.0):
@@ -100,17 +112,11 @@ def theta_matrix(within, between: float, q: int | None = None) -> np.ndarray:
 
 def normalize_weights(raw, partition: Partition) -> np.ndarray:
     """Scale raw weights so each block sums to its size."""
-    w = np.asarray(raw, dtype=np.float64).copy()
-    if w.shape != (partition.n_nodes,):
-        raise ValueError("one raw weight per node required")
-    if w.min() <= 0.0:
-        raise ValueError("raw weights must be positive")
+    w = _check_weights(raw, partition.n_nodes)
     sizes = partition.sizes()
     sums = np.bincount(partition.assignment, weights=w, minlength=partition.q)
-    for r in range(partition.q):
-        if sizes[r]:
-            w[partition.assignment == r] *= sizes[r] / sums[r]
-    return w
+    scale = np.divide(sizes, sums, out=np.zeros(partition.q), where=sizes > 0)
+    return w * scale[partition.assignment]
 
 
 def powerlaw_weights(partition: Partition, shape: float = 3.0, seed=0) -> np.ndarray:
@@ -140,14 +146,10 @@ def sample_graph(assignment, theta, weights, seed) -> Graph:
     makes the draw bit-reproducible for a given seed.
     """
     asg = np.asarray(assignment, dtype=np.int64)
-    theta = np.asarray(theta, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    theta = _check_theta(theta)
     v = asg.size
     q = theta.shape[0]
-    if w.shape != (v,):
-        raise ValueError("one weight per node required")
-    if not np.all(w > 0.0):
-        raise ValueError("weights must be positive")
+    w = _check_weights(weights, v)
     if asg.size and (asg.min() < 0 or asg.max() >= q):
         raise ValueError("assignment references a block outside theta")
     rng = derive_rng(seed)

@@ -3,16 +3,16 @@
 Three studies share one tidy row schema. Study 1 scores the planted
 partition across a between-block rate grid, study 2 scores a fixed
 reference partition on graphs regenerated from degraded block labels, and
-study 3 scores detection algorithms. Every cell draws from its own derived
-seed, and rows are sorted by cell key, so the loop order never shows in a
-table.
+study 3 scores detection algorithms. One loop runs every study; each cell
+draws from its own seed, ``derive_seed(seed, sim_no, *indices, rep)``, and
+rows are sorted by cell key, so the loop order never shows in a table.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from itertools import product
 
 import numpy as np
 
@@ -38,9 +38,6 @@ DEFAULT_DEGRADATION_GRID = tuple(round(0.05 * i, 10) for i in range(21))
 DEFAULT_SIM2_LEVELS = (0.01, 0.03, 0.06, 0.1, 0.2, 0.3)
 PLANTED = "planted"
 
-_COLUMNS = ("sim_id", "replicate", "v", "theta_between", "degradation_q",
-            "algorithm", "modularity", "ucsv", "wcsv", "seed")
-
 
 @dataclass(frozen=True)
 class SimResultRow:
@@ -62,18 +59,16 @@ class SimResultRow:
                 self.algorithm, self.replicate)
 
 
-__all__ = [
-    "SimResultRow", "rows_to_tsv",
-    "run_sim1", "run_sim2", "run_sim3",
-]
-
-
-def _quiet_run(cell, keys) -> list[SimResultRow]:
-    """Run ``cell(*key)`` for every key with expected Monte-Carlo warnings
-    (degenerate tests) muted; rows come back sorted, not in key order."""
+def _study(sim_no: int, seed, axes, replicates: int, cell) -> list[SimResultRow]:
+    """Rows of ``cell(cell_seed, *indices, rep)`` over the grid of axis
+    lengths ``axes`` and the replicates, sorted, with expected Monte-Carlo
+    warnings (degenerate tests) muted."""
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        rows = [row for key in keys for row in cell(*key)]
+        rows = [row for key in product(*map(range, axes), range(replicates))
+                for row in cell(derive_seed(seed, sim_no, *key), *key)]
     return sorted(rows, key=SimResultRow.sort_key)
 
 
@@ -108,25 +103,19 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
     """
     v_list = _check_distinct([int(v) for v in v_list], "v_list")
     grid = _check_rates(theta_between_grid, "theta_between_grid")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    parts = [planted_partition(equal_block_sizes(v, BLOCKS)) for v in v_list]
 
-    def cell(vi: int, ti: int, rep: int):
-        v, theta_rs = v_list[vi], grid[ti]
-        cell_seed = derive_seed(seed, 1, vi, ti, rep)
-        sizes = equal_block_sizes(v, BLOCKS)
-        part = planted_partition(sizes)
+    def cell(cell_seed: int, vi: int, ti: int, rep: int):
+        v, theta_rs, part = v_list[vi], grid[ti], parts[vi]
         diag = sample_theta_within(0.3, 0.05, BLOCKS, derive_rng(cell_seed, 1))
-        theta = theta_matrix(diag, theta_rs)
-        graph = sample_graph(part.assignment, theta, np.ones(v),
-                             derive_rng(cell_seed, 2))
+        graph = sample_graph(part.assignment, theta_matrix(diag, theta_rs),
+                             np.ones(v), derive_rng(cell_seed, 2))
         report = csv_report(graph, part, alpha=alpha)
         return [SimResultRow("sim1", rep, v, theta_rs, 0.0, PLANTED,
                              _safe_modularity(graph, part),
                              report.ucsv, report.wcsv, cell_seed)]
 
-    return _quiet_run(cell, itertools.product(
-        range(len(v_list)), range(len(grid)), range(replicates)))
+    return _study(1, seed, (len(v_list), len(grid)), replicates, cell)
 
 
 def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
@@ -141,35 +130,29 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
     """
     levels = _check_rates(theta_between_levels, "theta_between_levels")
     grid = _check_rates(degradation_grid, "degradation_grid")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    v = int(v)
+    reference = planted_partition(equal_block_sizes(v, BLOCKS))
 
-    def cell(li: int, qi: int, rep: int):
+    def cell(cell_seed: int, li: int, qi: int, rep: int):
         theta_rs, q_frac = levels[li], grid[qi]
-        cell_seed = derive_seed(seed, 2, li, qi, rep)
-        sizes = equal_block_sizes(int(v), BLOCKS)
-        reference = planted_partition(sizes)
         degraded = degrade_partition(reference, q_frac, derive_rng(cell_seed, 1))
-        theta = theta_matrix(0.3, theta_rs, BLOCKS)
-        graph = sample_graph(degraded.assignment, theta, np.ones(int(v)),
-                             derive_rng(cell_seed, 2))
+        graph = sample_graph(degraded.assignment, theta_matrix(0.3, theta_rs, BLOCKS),
+                             np.ones(v), derive_rng(cell_seed, 2))
         report = csv_report(graph, reference, alpha=alpha)
-        return [SimResultRow("sim2", rep, int(v), theta_rs, q_frac, PLANTED,
+        return [SimResultRow("sim2", rep, v, theta_rs, q_frac, PLANTED,
                              _safe_modularity(graph, reference),
                              report.ucsv, report.wcsv, cell_seed)]
 
-    return _quiet_run(cell, itertools.product(
-        range(len(levels)), range(len(grid)), range(replicates)))
+    return _study(2, seed, (len(levels), len(grid)), replicates, cell)
 
 
 def _detect(graph: Graph, algorithm: str, stream) -> Partition:
+    """Partition of ``graph`` by one of the algorithm names run_sim3 accepts."""
     if algorithm == "louvain":
         return louvain(graph, stream)
     if algorithm == "fast_greedy":
         return fast_greedy(graph)
-    if algorithm.startswith("external:"):
-        return load_partition(algorithm[len("external:"):], graph)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return load_partition(algorithm[len("external:"):], graph)
 
 
 def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
@@ -189,36 +172,31 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
         if algorithm not in ("louvain", "fast_greedy") \
                 and not algorithm.startswith("external:"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    v = int(v)
+    planted = planted_partition(equal_block_sizes(v, BLOCKS))
 
-    def cell(li: int, rep: int):
+    def cell(cell_seed: int, li: int, rep: int):
         theta_rs = levels[li]
-        cell_seed = derive_seed(seed, 3, li, rep)
-        sizes = equal_block_sizes(int(v), BLOCKS)
-        planted = planted_partition(sizes)
-        theta = theta_matrix(0.3, theta_rs, BLOCKS)
-        graph = sample_graph(planted.assignment, theta, np.ones(int(v)),
-                             derive_rng(cell_seed, 1))
+        graph = sample_graph(planted.assignment, theta_matrix(0.3, theta_rs, BLOCKS),
+                             np.ones(v), derive_rng(cell_seed, 1))
         planted_q = _safe_modularity(graph, planted)
         out = []
         for ai, algorithm in enumerate(algorithms):
             part = _detect(graph, algorithm, derive_rng(cell_seed, 2, ai))
             report = csv_report(graph, part, alpha=alpha)
-            out.append(SimResultRow("sim3", rep, int(v), theta_rs, 0.0,
+            out.append(SimResultRow("sim3", rep, v, theta_rs, 0.0,
                                     algorithm, planted_q,
                                     report.ucsv, report.wcsv, cell_seed))
         return out
 
-    return _quiet_run(cell, itertools.product(range(len(levels)),
-                                              range(replicates)))
+    return _study(3, seed, (len(levels),), replicates, cell)
 
 
 def rows_to_tsv(rows) -> str:
     """Tidy TSV with a schema comment and one line per row."""
     lines = [f"# csvnet simulation schema_version={SCHEMA_VERSION}",
-             "\t".join(_COLUMNS)]
+             "\t".join(field.name for field in fields(SimResultRow))]
     for row in rows:
         lines.append("\t".join(fmt_float(x) if isinstance(x, float) else str(x)
-                               for x in (getattr(row, col) for col in _COLUMNS)))
+                               for x in astuple(row)))
     return "\n".join(lines) + "\n"

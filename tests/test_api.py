@@ -1,6 +1,6 @@
-"""The package's public surface: exported names, test-like names, the
-module bindings that the benchmark's tracer wraps, and the pytest-benchmark
-files that time it."""
+"""The package's public surface: exported names, test-like names, unused
+imports, the module bindings that the benchmark's tracer wraps, and the
+pytest-benchmark files that time it."""
 
 from __future__ import annotations
 
@@ -55,6 +55,30 @@ def test_traced_bindings_resolve():
     missing = [f"csvnet.{module}.{attr}" for module, attr, _ in bindings
                if not hasattr(importlib.import_module(f"csvnet.{module}"), attr)]
     assert missing == []
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names that a module's import statements bind and its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export; elsewhere an unread name is dead code,
+    # unless the tracer wraps it there.
+    traced = {(module, attr) for module, attr, _ in traced_bindings()}
+    found = [f"{path.stem}.{name}"
+             for path in sorted(Path(csvnet.__file__).parent.glob("*.py"))
+             if path.stem != "__init__"
+             for name in sorted(unused_imports(path))
+             if (path.stem, name) not in traced]
+    assert found == []
 
 
 def test_benchmark_files_run():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from csvnet.clustering import louvain
 from csvnet.compare import (
     compare_all,
     compare_pair,
@@ -184,6 +185,24 @@ def test_compare_all_input_validation():
             compare_all([("A", graph), ("B", graph)], alpha=alpha)
     with pytest.raises(ValueError, match="min_size must be at least 1"):
         compare_all([("A", graph), ("B", graph)], min_size=0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"alpha": 2.0}, "alpha out of range"),
+    ({"min_size": 0}, "min_size must be at least 1"),
+], ids=["alpha", "min_size"])
+def test_compare_pair_rejects_bad_levels_before_detection(monkeypatch, kwargs, match):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return louvain(*args, **kw)
+
+    monkeypatch.setattr("csvnet.compare.louvain", counted)
+    graph = clique_pair_graph(6)
+    with pytest.raises(ValueError, match=match):
+        compare_pair(graph, graph, **kwargs)
+    assert calls == []
 
 
 def test_per_pair_details_populated():

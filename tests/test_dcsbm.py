@@ -68,6 +68,9 @@ def test_config_validation():
         DcsbmConfig((0, 2), np.full((2, 2), 0.3), np.ones(2))
     with pytest.raises(ValueError, match="sum"):
         DcsbmConfig((2, 2), np.full((2, 2), 0.3), np.array([2.0, 1.0, 1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DcsbmConfig((2, 2), np.full((2, 2), 0.3), np.array([1.0, bad, 1.0, 1.0]))
 
 
 def test_normalize_weights():
@@ -75,8 +78,12 @@ def test_normalize_weights():
     w = normalize_weights([2.0, 1.0, 1.0], p)
     assert np.allclose(w, [1.5, 0.75, 0.75])
     assert np.allclose(normalize_weights([5.0, 5.0, 5.0], p), 1.0)
-    with pytest.raises(ValueError):
-        normalize_weights([1.0, 0.0, 1.0], p)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            normalize_weights([1.0, bad, 1.0], p)
+    gappy = Partition(np.array([2, 0, 2, 0]), 4)  # blocks 1 and 3 empty
+    assert normalize_weights([1.0, 3.0, 2.0, 1.0], gappy).tolist() == [
+        2.0 / 3.0, 1.5, 4.0 / 3.0, 0.5]
 
 
 def test_powerlaw_weights_block_sums():
@@ -161,7 +168,19 @@ def test_sample_graph_rejects_bad_assignment():
         sample_graph(np.array([0, 3]), theta_matrix(0.5, 0.0, 2), np.ones(2), seed=0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("theta, match", [
+    (theta_matrix(np.nan, 0.1, 2), r"\[0, 1\]"),
+    (theta_matrix(0.5, -0.1, 2), r"\[0, 1\]"),
+    (np.array([[0.5, 0.1], [0.2, 0.5]]), "symmetric"),
+    (np.full((2, 3), 0.5), "square"),
+    (np.full(2, 0.5), "square"),
+], ids=["nan", "negative", "asymmetric", "2x3", "1-d"])
+def test_sample_graph_rejects_bad_theta(theta, match):
+    with pytest.raises(ValueError, match=match):
+        sample_graph(np.array([0, 0, 1]), theta, np.ones(3), seed=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_sample_graph_rejects_nonpositive_weights(bad):
     with pytest.raises(ValueError, match="positive"):
         sample_graph(np.array([0, 0, 1]), theta_matrix(0.5, 0.1, 2),
