@@ -247,8 +247,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-# simulate flag -> study parameter. Flags left unset, or that a study does not
-# take, are not passed, so the study function's own defaults apply.
+# simulate flag -> study parameter. Flags left unset are not passed, so the
+# study function's own defaults apply; a flag only other studies take is an
+# error.
 _SIM_PARAMS = {
     "sim1": {"v": "v_list", "grid": "theta_between_grid"},
     "sim2": {"v": "v", "levels": "theta_between_levels",
@@ -258,7 +259,11 @@ _SIM_PARAMS = {
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    flags = {f: f for f in ("replicates", "seed", "alpha")} | _SIM_PARAMS[args.sim]
+    own = _SIM_PARAMS[args.sim]
+    for flag in dict.fromkeys(f for params in _SIM_PARAMS.values() for f in params):
+        if flag not in own and getattr(args, flag) is not None:
+            raise ValueError(f"{args.sim} does not take --{flag.replace('_', '-')}")
+    flags = {f: f for f in ("replicates", "seed", "alpha")} | own
     params = {param: getattr(args, flag) for flag, param in flags.items()
               if getattr(args, flag) is not None}
     if "v" in params:

@@ -302,6 +302,8 @@ class Dendrogram:
     def __post_init__(self) -> None:
         self.leaf_labels = tuple(str(x) for x in self.leaf_labels)
         self.merges = tuple((int(a), int(b), float(h)) for a, b, h in self.merges)
+        if len(self.leaf_labels) < 2:
+            raise ValueError("a dendrogram needs at least two leaves")
         if len(self.merges) != len(self.leaf_labels) - 1:
             raise ValueError("a binary dendrogram needs exactly n - 1 merges")
 
@@ -377,8 +379,6 @@ def to_newick(dend: Dendrogram) -> str:
     """
     for label in dend.leaf_labels:
         check_newick_label(label)
-    if not dend.merges:
-        return f"{dend.leaf_labels[0]}:0;"
     n = dend.n_leaves
     text = list(dend.leaf_labels)
     min_leaf = list(range(n))

@@ -187,9 +187,7 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
                                   False, 0.0, 0.0, 0, 0, error=str(exc))
 
     index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        details = [one_pair(i, j) for i, j in index_pairs]
+    details = [one_pair(i, j) for i, j in index_pairs]
     r = np.eye(n)
     defined = np.eye(n, dtype=bool)
     for (i, j), detail in zip(index_pairs, details):

@@ -137,6 +137,11 @@ def sample_theta_within(mean: float, halfwidth: float, q: int, seed) -> np.ndarr
     return rng.uniform(lo, hi, size=q)
 
 
+def sampled_node_labels(v: int) -> tuple[str, ...]:
+    """The labels n0..n{v-1} that :func:`sample_graph` gives its ``v`` nodes."""
+    return tuple(f"n{i}" for i in range(v))
+
+
 def sample_graph(assignment, theta, weights, seed) -> Graph:
     """Draw one undirected graph from block rates over a fixed assignment.
 
@@ -204,7 +209,7 @@ def sample_graph(assignment, theta, weights, seed) -> Graph:
                       "weights or rates may be misconfigured", stacklevel=2)
     edges = (np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
              if heads else np.empty((0, 2), dtype=np.int64))
-    return Graph(tuple(f"n{i}" for i in range(v)), edges)
+    return Graph(sampled_node_labels(v), edges)
 
 
 def sample_dcsbm(config: DcsbmConfig) -> tuple[Graph, Partition]:

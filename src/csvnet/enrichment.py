@@ -12,7 +12,6 @@ single tests are read back through :meth:`EnrichmentMatrix.result`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,6 +84,8 @@ class EnrichmentMatrix:
     degenerate: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.q < 1:
+            raise ValueError("the test family needs at least one community")
         expect = self.q * self.q if self.directed else self.q * (self.q + 1) // 2
         for name, dtype in _COLUMNS.items():
             col = np.array(getattr(self, name), dtype=dtype)
@@ -140,34 +141,26 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
 
     Ordering is deterministic: within tests by community id, then between
     tests lexicographically (undirected keeps r < s; directed keeps both
-    orientations).
+    orientations). Tests of a zero-degree community are flagged in the
+    ``degenerate`` column and never reject.
     """
     if partition.n_nodes != graph.n_nodes:
         raise ValueError("partition does not match graph size")
     q = partition.q
-    asg = partition.assignment
+    links = _block_counts(graph, partition)
     if graph.directed:
-        outs = np.bincount(asg, weights=graph.out_degrees, minlength=q).astype(np.int64)
-        ins = np.bincount(asg, weights=graph.in_degrees, minlength=q).astype(np.int64)
-        n_total = graph.n_edges
         r, s = np.nonzero(~np.eye(q, dtype=bool))
     else:
-        outs = ins = np.bincount(asg, weights=graph.degrees, minlength=q).astype(np.int64)
-        n_total = 2 * graph.n_edges
         r, s = np.triu_indices(q, k=1)
     r = np.concatenate([np.arange(q), r])
     s = np.concatenate([np.arange(q), s])
     # Draws are r's outgoing stubs, successes s's incoming ones.
-    n_draw, n_succ = outs[r], ins[s]
-    n_obs = _block_counts(graph, partition)[r, s]
+    n_draw, n_succ = links.sum(axis=1)[r], links.sum(axis=0)[s]
+    n_total = int(links.sum())  # a Python int: each mean is one rounded division
+    n_obs = links[r, s]
     degenerate = (n_draw == 0) | (n_succ == 0)
-    n_degenerate = int(degenerate.sum())
-    if n_degenerate:
-        warnings.warn(f"{n_degenerate} of {r.size} tests degenerate "
-                      "(zero-degree community)", stacklevel=2)
     raw = np.where(degenerate, DEGENERATE_P,
                    mid_p_family(n_obs, n_total, n_succ, n_draw, r == s))
-    # Python ints, so each mean is one correctly rounded division.
     mu0 = [a * b / n_total if n_total else 0.0
            for a, b in zip(n_draw.tolist(), n_succ.tolist())]
     return EnrichmentMatrix(q, graph.directed, r, s, n_obs, mu0, raw,

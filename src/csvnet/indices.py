@@ -136,8 +136,6 @@ def report_to_json(report: CsvReport) -> str:
         "tests": [],
     }
     head = json.dumps(payload, indent=2)
-    if not report.matrix.r.size:
-        return head + "\n"
     f = fmt_float
     # One join over the head, the tests and the tail, so the text is built
     # once. Test directions are the enrichment module's plain-ASCII

@@ -10,7 +10,6 @@ rows are sorted by cell key, so the loop order never shows in a table.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 
@@ -24,6 +23,7 @@ from .dcsbm import (
     planted_partition,
     sample_graph,
     sample_theta_within,
+    sampled_node_labels,
     theta_matrix,
 )
 from .graph import Graph, Partition, fmt_float, load_partition
@@ -61,14 +61,11 @@ class SimResultRow:
 
 def _study(sim_no: int, seed, axes, replicates: int, cell) -> list[SimResultRow]:
     """Rows of ``cell(cell_seed, *indices, rep)`` over the grid of axis
-    lengths ``axes`` and the replicates, sorted, with expected Monte-Carlo
-    warnings (degenerate tests) muted."""
+    lengths ``axes`` and the replicates, sorted."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        rows = [row for key in product(*map(range, axes), range(replicates))
-                for row in cell(derive_seed(seed, sim_no, *key), *key)]
+    rows = [row for key in product(*map(range, axes), range(replicates))
+            for row in cell(derive_seed(seed, sim_no, *key), *key)]
     return sorted(rows, key=SimResultRow.sort_key)
 
 
@@ -146,15 +143,6 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
     return _study(2, seed, (len(levels), len(grid)), replicates, cell)
 
 
-def _detect(graph: Graph, algorithm: str, stream) -> Partition:
-    """Partition of ``graph`` by one of the algorithm names run_sim3 accepts."""
-    if algorithm == "louvain":
-        return louvain(graph, stream)
-    if algorithm == "fast_greedy":
-        return fast_greedy(graph)
-    return load_partition(algorithm[len("external:"):], graph)
-
-
 def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
              replicates: int = DEFAULT_REPLICATES,
              algorithms=("louvain", "fast_greedy"), seed=0, *,
@@ -162,7 +150,8 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
     """Score detection algorithms on shared graphs per replicate.
 
     Algorithms are "louvain", "fast_greedy", or "external:<path>" pointing
-    at a partition file over the generated node labels n0..n{v-1}.
+    at a partition file over the generated node labels n0..n{v-1}; each file
+    is read once, before the first graph is drawn.
     """
     levels = _check_rates(theta_between_levels, "theta_between_levels")
     algorithms = _check_distinct([str(a) for a in algorithms], "algorithms")
@@ -174,6 +163,9 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
             raise ValueError(f"unknown algorithm {algorithm!r}")
     v = int(v)
     planted = planted_partition(equal_block_sizes(v, BLOCKS))
+    edgeless = Graph(sampled_node_labels(v), np.empty((0, 2), dtype=np.int64))
+    external = {a: load_partition(a[len("external:"):], edgeless)
+                for a in algorithms if a.startswith("external:")}
 
     def cell(cell_seed: int, li: int, rep: int):
         theta_rs = levels[li]
@@ -182,7 +174,12 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
         planted_q = _safe_modularity(graph, planted)
         out = []
         for ai, algorithm in enumerate(algorithms):
-            part = _detect(graph, algorithm, derive_rng(cell_seed, 2, ai))
+            if algorithm == "louvain":
+                part = louvain(graph, derive_rng(cell_seed, 2, ai))
+            elif algorithm == "fast_greedy":
+                part = fast_greedy(graph)
+            else:
+                part = external[algorithm]
             report = csv_report(graph, part, alpha=alpha)
             out.append(SimResultRow("sim3", rep, v, theta_rs, 0.0,
                                     algorithm, planted_q,

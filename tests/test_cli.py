@@ -334,7 +334,9 @@ def test_generate_rejects_malformed_config(tmp_path, capsys):
                           ('{"blocks": null}', "wrong type: ['blocks']"),
                           ('{"theta_within": [1], "seed": 1.5}',
                            "wrong type: ['seed', 'theta_within']"),
-                          ('{"blocks": true}', "wrong type: ['blocks']")]:
+                          ('{"blocks": true}', "wrong type: ['blocks']"),
+                          ('{"weight_mode": "lognormal"}',
+                           "unknown weight_mode 'lognormal'")]:
         config.write_text(text, encoding="utf-8")
         assert main(["generate", "--v", "20", "--config", str(config),
                      "--out-graph", str(tmp_path / "g.tsv"),
@@ -478,6 +480,20 @@ def test_simulate_flag_validation(tmp_path, capsys):
     assert main(["simulate", "sim3", "--v", "40",
                  "--algorithms", "walktrap"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sim1", "--levels", "0.5", "--algorithms", "walktrap",
+      "--degradation-grid", "7"], "--levels"),
+    (["sim2", "--grid", "0.1"], "--grid"),
+    (["sim3", "--degradation-grid", "0.5"], "--degradation-grid"),
+])
+def test_simulate_rejects_flags_of_other_studies(argv, flag, tmp_path, capsys):
+    out = tmp_path / "rows.tsv"
+    assert main(["simulate", *argv, "--v", "40", "--replicates", "1",
+                 "--threads", "2", "--out", str(out)]) == 2
+    assert f"error: {argv[0]} does not take {flag}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

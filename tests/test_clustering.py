@@ -272,6 +272,14 @@ def test_to_newick_deep_caterpillar():
     assert to_newick(dend) == expect + ";"
 
 
+def test_dendrogram_needs_two_leaves():
+    # from_newick reads no one-leaf tree, so none may be built to write.
+    with pytest.raises(ValueError, match="at least two leaves"):
+        Dendrogram((), ("a",))
+    with pytest.raises(ValueError, match="at least two leaves"):
+        from_newick("a:0;")
+
+
 def test_newick_rejects_delimiter_labels():
     dend = Dendrogram(((0, 1, 1.0),), ("a(", "b"))
     with pytest.raises(ValueError):

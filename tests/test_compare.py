@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -73,9 +71,7 @@ def test_relative_ucsv_edgeless_other_graph():
     graph = clique_pair_graph(5)
     part = Partition(np.repeat([0, 1], 5), 2)
     empty = Graph(graph.node_labels, np.empty((0, 2), dtype=np.int64))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert relative_ucsv(part, graph, empty) == 0.0
+    assert relative_ucsv(part, graph, empty) == 0.0
 
 
 def test_relative_ucsv_zero_denominator_warns():

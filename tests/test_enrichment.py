@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,8 +90,7 @@ def test_within_complete_graph_single_community():
 def test_within_isolated_community_degenerate():
     g = Graph(("a", "b", "c"), [(0, 1)])
     p = Partition(np.array([0, 0, 1]), 2)
-    with pytest.warns(UserWarning, match="degenerate"):
-        res = enrichment_matrix(g, p).result(1, 1)
+    res = enrichment_matrix(g, p).result(1, 1)
     assert res.degenerate and res.raw_p == 0.5
 
 
@@ -120,8 +118,7 @@ def test_single_edge_singletons():
 def test_directed_tests():
     g = Graph(("a", "b", "c"), [(0, 1), (1, 2)], directed=True)
     p = Partition(np.array([0, 1, 2]), 3)
-    with pytest.warns(UserWarning, match="degenerate"):
-        m = enrichment_matrix(g, p)
+    m = enrichment_matrix(g, p)
     res_a = m.result(0, 0)  # indegree of {a} is 0
     assert res_a.degenerate and res_a.raw_p == 0.5
     res_ab = m.result(0, 1)
@@ -163,7 +160,12 @@ def test_block_counts_and_stub_sums_match_oracle(directed):
             q += 1  # the last community is empty
         p = Partition(asg, q)
         links, outs, ins = block_link_counts(g, asg, q)
-        assert enr._block_counts(g, p).tolist() == links
+        counts = enr._block_counts(g, p)
+        assert counts.tolist() == links
+        # enrichment_matrix reads draws, successes and the population from it.
+        assert counts.sum(axis=1).tolist() == outs
+        assert counts.sum(axis=0).tolist() == ins
+        assert int(counts.sum()) == (g.n_edges if directed else 2 * g.n_edges)
         if directed:
             assert np.bincount(asg, weights=g.out_degrees, minlength=q).tolist() == outs
             assert np.bincount(asg, weights=g.in_degrees, minlength=q).tolist() == ins
@@ -205,9 +207,7 @@ def test_matrix_matches_single_tests_and_bh():
         p = Partition(asg, q)
         links, outs, ins = block_link_counts(g, asg, q)
         n_total = g.n_edges if g.directed else 2 * g.n_edges
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty communities
-            m = enrichment_matrix(g, p)
+        m = enrichment_matrix(g, p)
         for res in m.results:
             n_draw, n_succ = outs[res.r], ins[res.s]
             assert res.n_obs == links[res.r][res.s]
@@ -257,8 +257,7 @@ def test_relabeling_leaves_test_multiset_unchanged():
 def test_empty_community_is_degenerate():
     g, _ = two_triangles()
     p = Partition(np.array([0, 0, 0, 1, 1, 1]), 3)  # community 2 empty
-    with pytest.warns(UserWarning, match="degenerate"):
-        m = enrichment_matrix(g, p)
+    m = enrichment_matrix(g, p)
     assert len(m.results) == 6
     flagged = {(res.r, res.s) for res in m.results if res.degenerate}
     assert flagged == {(2, 2), (0, 2), (1, 2)}
@@ -309,3 +308,6 @@ def test_matrix_columns_and_lookup():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"non-finite value in {name}"):
                 EnrichmentMatrix(2, False, **(columns | {name: [0.5, bad, 0.5]}))
+    empty = dict.fromkeys(columns, [])
+    with pytest.raises(ValueError, match="at least one community"):
+        EnrichmentMatrix(0, False, **empty)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -51,10 +50,8 @@ def random_matrix(rng: np.random.Generator) -> EnrichmentMatrix:
             pairs.add((min(u, v), max(u, v)))
     g = Graph(tuple(f"n{i}" for i in range(n)), sorted(pairs))
     q = int(rng.integers(2, 5))
-    with warnings.catch_warnings():
-        # random assignments may leave a community empty, which is fine here
-        warnings.simplefilter("ignore", UserWarning)
-        return enrichment_matrix(g, Partition(rng.integers(0, q, size=n), q))
+    # Random assignments may leave a community empty, which is fine here.
+    return enrichment_matrix(g, Partition(rng.integers(0, q, size=n), q))
 
 
 # --- whole-family indices ----------------------------------------------------
@@ -126,6 +123,9 @@ def test_index_bounds_and_alpha_validation():
             ucsv(m, bad)
     with pytest.raises(ValueError):
         ucv(m, 5, 0.05)
+    # An empty family has no fraction to take.
+    with pytest.raises(ValueError, match="at least one community"):
+        csv_report(Graph((), np.empty((0, 2))), Partition(np.array([], dtype=int), 0))
 
 
 # --- invariants on real matrices ----------------------------------------------
@@ -254,7 +254,6 @@ def _json_cases():
     }
 
 
-@pytest.mark.filterwarnings("ignore:.*degenerate")
 @pytest.mark.parametrize("case", ["directed", "empty community", "q=1"])
 def test_report_to_json_equals_json_dumps(case):
     report = _json_cases()[case]

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from csvnet.graph import GraphFormatError
+from csvnet import compare, simharness
+from csvnet.compare import compare_all
+from csvnet.graph import Graph, GraphFormatError, Partition
+from csvnet.indices import csv_report
 from csvnet.simharness import (
     SimResultRow,
     rows_to_tsv,
@@ -103,10 +109,74 @@ def test_sim3_external_partition(tmp_path):
     assert rows == again
 
 
-def test_sim3_external_partition_missing_file(tmp_path):
+def counted(monkeypatch, *names) -> Counter:
+    """Calls of each named ``simharness`` binding, counted as they happen."""
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, _name=name, _func=getattr(simharness, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(simharness, name, wrapper)
+    return calls
+
+
+def test_sim3_loads_each_external_partition_once(tmp_path, monkeypatch):
+    v = 40
+    algorithms = []
+    for k, blocks in enumerate((8, 4)):
+        path = tmp_path / f"parts{k}.tsv"
+        path.write_text("".join(f"n{i}\tc{i * blocks // v}\n" for i in range(v)),
+                        encoding="utf-8")
+        algorithms.append(f"external:{path}")
+    calls = counted(monkeypatch, "load_partition", "sample_graph")
+    rows = run_sim3(theta_between_levels=(0.01, 0.1, 0.2), replicates=5,
+                    algorithms=algorithms, seed=4, v=v)
+    assert len(rows) == 30
+    assert calls == {"load_partition": 2, "sample_graph": 15}
+
+
+def test_sim3_external_partition_missing_file(tmp_path, monkeypatch):
+    calls = counted(monkeypatch, "sample_graph")
     with pytest.raises((GraphFormatError, OSError)):
         run_sim3(theta_between_levels=(0.01,), replicates=1,
-                 algorithms=(f"external:{tmp_path}/absent.tsv",), seed=1, v=40)
+                 algorithms=("louvain", f"external:{tmp_path}/absent.tsv"),
+                 seed=1, v=40)
+    assert calls == {}  # raised before any graph was drawn
+
+
+def test_degenerate_tests_pass_without_warnings(monkeypatch):
+    """Degenerate tests are flagged in the family, not warned about, so the
+    family, the study loop and compare_all run clean with every warning an
+    error."""
+    degenerate = Counter()
+
+    def counting(module):
+        report = module.csv_report
+
+        def wrapper(*args, **kwargs):
+            out = report(*args, **kwargs)
+            degenerate[module.__name__] += int(out.matrix.degenerate.sum())
+            return out
+        monkeypatch.setattr(module, "csv_report", wrapper)
+
+    counting(simharness)
+    counting(compare)
+    # One 6-clique of a two-clique graph has no edges in the other graph.
+    labels = tuple(f"n{i}" for i in range(12))
+    cliques = [(i, j) for b in (0, 6) for i in range(b, b + 6) for j in range(i + 1, b + 6)]
+    both = Graph(labels, cliques + [(0, 6)])
+    one = Graph(labels, cliques[:15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = csv_report(one, Partition(np.repeat([0, 1], 6), 2))
+        assert alone.matrix.degenerate.any()
+        # Two nodes per planted block and no between links: whole blocks go
+        # without edges.
+        run_sim2(theta_between_levels=(0.0,), degradation_grid=(0.0, 1.0),
+                 replicates=3, seed=2, v=16)
+        compare_all([("both", both), ("one", one)], min_size=2)
+    assert degenerate["csvnet.simharness"] > 0
+    assert degenerate["csvnet.compare"] > 0
 
 
 def test_input_validation():
