@@ -3,14 +3,15 @@
 Three studies share one tidy row schema. Study 1 scores the planted
 partition across a between-block rate grid, study 2 scores a fixed
 reference partition on graphs regenerated from degraded block labels, and
-study 3 scores detection algorithms. One loop runs every study; each cell
-draws from its own seed, ``derive_seed(seed, sim_no, *indices, rep)``, and
-rows are sorted by cell key, so the loop order never shows in a table.
+study 3 scores detection algorithms. One loop runs and scores every study;
+each cell draws from its own seed, ``derive_seed(seed, sim_no, *indices,
+rep)``, and rows are sorted by cell key, so the loop order never shows.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -27,7 +28,7 @@ from .dcsbm import (
     theta_matrix,
 )
 from .graph import Graph, Partition, fmt_float, load_partition
-from .indices import csv_report
+from .indices import _check_alpha, csv_report
 
 SCHEMA_VERSION = 1
 DEFAULT_V = 500
@@ -59,18 +60,28 @@ class SimResultRow:
                 self.algorithm, self.replicate)
 
 
-def _study(sim_no: int, seed, axes, replicates: int, cell) -> list[SimResultRow]:
-    """Rows of ``cell(cell_seed, *indices, rep)`` over the grid of axis
-    lengths ``axes`` and the replicates, sorted."""
+def _study(sim_no: int, seed, axes, replicates: int, alpha, cell) -> list[SimResultRow]:
+    """Sorted rows over the grid of axis lengths ``axes`` and the replicates.
+
+    ``cell(cell_seed, *indices, rep)`` gives ``(v, theta_between,
+    degradation_q, graph, reference, partitions)``; ``partitions`` maps each
+    algorithm to a function giving the partition to score, and modularity is
+    the reference's. On an edgeless graph every test is degenerate, so all
+    three scores are 0.0 and no partition is computed."""
+    alpha = _check_alpha(alpha)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    rows = [row for key in product(*map(range, axes), range(replicates))
-            for row in cell(derive_seed(seed, sim_no, *key), *key)]
+    rows = []
+    for key in product(*map(range, axes), range(replicates)):
+        cell_seed = derive_seed(seed, sim_no, *key)
+        v, theta_rs, q_frac, graph, reference, partitions = cell(cell_seed, *key)
+        q = modularity(graph, reference) if graph.n_edges else 0.0
+        for algorithm, partition in partitions.items():
+            report = csv_report(graph, partition(), alpha=alpha) if graph.n_edges else None
+            scores = (report.ucsv, report.wcsv) if report else (0.0, 0.0)
+            rows.append(SimResultRow(f"sim{sim_no}", key[-1], v, theta_rs, q_frac,
+                                     algorithm, q, *scores, cell_seed))
     return sorted(rows, key=SimResultRow.sort_key)
-
-
-def _safe_modularity(graph: Graph, partition: Partition) -> float:
-    return modularity(graph, partition) if graph.n_edges else 0.0
 
 
 def _check_distinct(values: list, what: str) -> list:
@@ -96,7 +107,7 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
     """Score the planted partition across network sizes and between rates.
 
     Within rates are drawn uniformly around 0.3 (halfwidth 0.05) per block;
-    weights are uniform. Edgeless draws record modularity 0.
+    weights are uniform.
     """
     v_list = _check_distinct([int(v) for v in v_list], "v_list")
     grid = _check_rates(theta_between_grid, "theta_between_grid")
@@ -107,12 +118,9 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
         diag = sample_theta_within(0.3, 0.05, BLOCKS, derive_rng(cell_seed, 1))
         graph = sample_graph(part.assignment, theta_matrix(diag, theta_rs),
                              np.ones(v), derive_rng(cell_seed, 2))
-        report = csv_report(graph, part, alpha=alpha)
-        return [SimResultRow("sim1", rep, v, theta_rs, 0.0, PLANTED,
-                             _safe_modularity(graph, part),
-                             report.ucsv, report.wcsv, cell_seed)]
+        return v, theta_rs, 0.0, graph, part, {PLANTED: lambda: part}
 
-    return _study(1, seed, (len(v_list), len(grid)), replicates, cell)
+    return _study(1, seed, (len(v_list), len(grid)), replicates, alpha, cell)
 
 
 def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
@@ -135,12 +143,9 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
         degraded = degrade_partition(reference, q_frac, derive_rng(cell_seed, 1))
         graph = sample_graph(degraded.assignment, theta_matrix(0.3, theta_rs, BLOCKS),
                              np.ones(v), derive_rng(cell_seed, 2))
-        report = csv_report(graph, reference, alpha=alpha)
-        return [SimResultRow("sim2", rep, v, theta_rs, q_frac, PLANTED,
-                             _safe_modularity(graph, reference),
-                             report.ucsv, report.wcsv, cell_seed)]
+        return v, theta_rs, q_frac, graph, reference, {PLANTED: lambda: reference}
 
-    return _study(2, seed, (len(levels), len(grid)), replicates, cell)
+    return _study(2, seed, (len(levels), len(grid)), replicates, alpha, cell)
 
 
 def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
@@ -151,7 +156,8 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
 
     Algorithms are "louvain", "fast_greedy", or "external:<path>" pointing
     at a partition file over the generated node labels n0..n{v-1}; each file
-    is read once, before the first graph is drawn.
+    is read once, before the first graph is drawn. The modularity column is
+    the planted partition's, and an edgeless draw scores as ``_study`` says.
     """
     levels = _check_rates(theta_between_levels, "theta_between_levels")
     algorithms = _check_distinct([str(a) for a in algorithms], "algorithms")
@@ -167,26 +173,18 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
     external = {a: load_partition(a[len("external:"):], edgeless)
                 for a in algorithms if a.startswith("external:")}
 
-    def cell(cell_seed: int, li: int, rep: int):
-        theta_rs = levels[li]
-        graph = sample_graph(planted.assignment, theta_matrix(0.3, theta_rs, BLOCKS),
-                             np.ones(v), derive_rng(cell_seed, 1))
-        planted_q = _safe_modularity(graph, planted)
-        out = []
-        for ai, algorithm in enumerate(algorithms):
-            if algorithm == "louvain":
-                part = louvain(graph, derive_rng(cell_seed, 2, ai))
-            elif algorithm == "fast_greedy":
-                part = fast_greedy(graph)
-            else:
-                part = external[algorithm]
-            report = csv_report(graph, part, alpha=alpha)
-            out.append(SimResultRow("sim3", rep, v, theta_rs, 0.0,
-                                    algorithm, planted_q,
-                                    report.ucsv, report.wcsv, cell_seed))
-        return out
+    def detect(graph: Graph, cell_seed: int, ai: int, algorithm: str) -> Partition:
+        if algorithm == "louvain":
+            return louvain(graph, derive_rng(cell_seed, 2, ai))
+        return fast_greedy(graph) if algorithm == "fast_greedy" else external[algorithm]
 
-    return _study(3, seed, (len(levels),), replicates, cell)
+    def cell(cell_seed: int, li: int, rep: int):
+        graph = sample_graph(planted.assignment, theta_matrix(0.3, levels[li], BLOCKS),
+                             np.ones(v), derive_rng(cell_seed, 1))
+        return v, levels[li], 0.0, graph, planted, {
+            a: partial(detect, graph, cell_seed, ai, a) for ai, a in enumerate(algorithms)}
+
+    return _study(3, seed, (len(levels),), replicates, alpha, cell)
 
 
 def rows_to_tsv(rows) -> str:

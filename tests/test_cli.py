@@ -532,6 +532,13 @@ def test_simulate_nan_rate_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_bad_alpha_exits_2(tmp_path, capsys):
+    out = tmp_path / "rows.tsv"
+    assert main(["simulate", "sim1", "--alpha", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: alpha out of range (0, 1)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_2():
     assert main(["bogus"]) == 2
     assert main(["validate"]) == 2

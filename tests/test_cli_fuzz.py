@@ -2,7 +2,8 @@
 
 Every run must end in exit 0 or exit 2. Exit 2 comes with a message that
 starts with ``error:`` and no traceback, and leaves the output directory as
-it was: no new file, no ``.partial-*`` file, no file replaced.
+it was: no new file, no ``.partial-*`` file, no file replaced. A simulate
+run whose every drawn value is valid must exit 0 and write the whole table.
 """
 
 from __future__ import annotations
@@ -86,11 +87,15 @@ def _optional(draw, flag: str, values) -> list[str]:
     return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
 
 
+def _targets(out: Path):
+    return st.sampled_from([str(out / "new.tsv")] * 3 + [str(out / "old.tsv")] * 2
+                           + [str(out / "adir"), str(out / "nodir" / "x.tsv"),
+                              str(out / "old.tsv" / "x.tsv")])
+
+
 def _argv(draw, inp: Path, out: Path) -> list[str]:
     graphs = [str(inp / "g1.tsv"), str(inp / "g2.tsv"), str(inp / "missing.tsv")]
-    targets = st.sampled_from([str(out / "new.tsv")] * 3 + [str(out / "old.tsv")] * 2
-                              + [str(out / "adir"), str(out / "nodir" / "x.tsv"),
-                                 str(out / "old.tsv" / "x.tsv")])
+    targets = _targets(out)
     command = draw(st.sampled_from(["validate", "cluster", "generate", "compare"]))
     if command == "validate":
         argv = ["validate", draw(st.sampled_from(graphs[:1] * 3 + graphs[1:])),
@@ -126,16 +131,66 @@ def _argv(draw, inp: Path, out: Path) -> list[str]:
     return argv + ["--out", draw(targets)]
 
 
+# Mostly valid rates; two draws from one list are sometimes a repeat.
+_RATES = st.sampled_from([0.0, 0.05, 0.3, 1.0] * 4 + [float("nan"), -0.1, 1.5])
+# study -> (its rate flags, flags that only other studies take)
+_STUDIES = {
+    "sim1": (["--grid"], ["--levels", "--degradation-grid", "--algorithms"]),
+    "sim2": (["--levels", "--degradation-grid"], ["--grid", "--algorithms"]),
+    "sim3": (["--levels"], ["--grid", "--degradation-grid"]),
+}
+SIM_HEADER = ("sim_id\treplicate\tv\ttheta_between\tdegradation_q\talgorithm\t"
+              "modularity\tucsv\twcsv\tseed")
+
+
+def _simulate_argv(draw, inp: Path, out: Path) -> tuple[list[str], int | None]:
+    """A toy-size simulate run, and its row count when every drawn value is
+    valid (None when it may exit 2). ext.tsv covers n0..n11, so it is valid
+    only at v=12. The simplest draw, which Hypothesis tries first, is sim3 at
+    v=8 and rate 0.0: one node per planted block, so every graph is edgeless."""
+    sim = draw(st.sampled_from(["sim3", "sim1", "sim2"]))
+    rate_flags, foreign = _STUDIES[sim]
+    v = draw(st.sampled_from([*range(8, 25)] * 2 + [*range(8)]))
+    replicates = draw(st.sampled_from([1, 2] * 3 + [0]))
+    argv = ["simulate", sim, f"--v={v}", f"--replicates={replicates}"]
+    valid, rows = v >= 8 and replicates >= 1, replicates
+    for flag in rate_flags:
+        rates = draw(st.lists(_RATES, min_size=1, max_size=2))
+        argv += [flag, *map(str, rates)]
+        valid &= len(set(rates)) == len(rates) and all(0.0 <= x <= 1.0 for x in rates)
+        rows *= len(rates)
+    if sim == "sim3":
+        algorithms = ["louvain", "fast_greedy"]
+        if draw(st.booleans()):
+            ext, missing = f"external:{inp / 'ext.tsv'}", f"external:{inp / 'missing.tsv'}"
+            algorithms = draw(st.lists(st.sampled_from(
+                ["louvain", "fast_greedy", ext, missing]), min_size=1, max_size=2))
+            argv += ["--algorithms", *algorithms]
+            valid &= len(set(algorithms)) == len(algorithms) and missing not in algorithms \
+                and (v == 12 or ext not in algorithms)
+        rows *= len(algorithms)
+    if draw(st.integers(0, 2)) == 2:
+        alpha = draw(_FLOATS)
+        argv.append(f"--alpha={alpha}")
+        valid &= 0.0 < alpha < 1.0
+    if draw(st.integers(0, 7)) == 7:
+        argv += [draw(st.sampled_from(foreign)), "0.5"]
+        valid = False
+    argv += _optional(draw, "--seed", _SEEDS)
+    target = draw(_targets(out))
+    valid &= target in (str(out / "new.tsv"), str(out / "old.tsv"))
+    return argv + ["--out", target], rows if valid else None
+
+
 def _snapshot(root: Path) -> dict[str, bytes | None]:
     return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
             for p in sorted(root.rglob("*"))}
 
 
-@settings(max_examples=500, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(st.data())
-def test_cli_exits_0_or_2_and_leaves_no_trace_on_error(data):
-    draw = data.draw
+@contextlib.contextmanager
+def _dirs(draw):
+    """Input and output directories; the output holds a file, a directory and,
+    sometimes, a directory where a compare output would go."""
     with tempfile.TemporaryDirectory() as tmp:
         inp, out = Path(tmp, "in"), Path(tmp, "out")
         inp.mkdir()
@@ -143,23 +198,62 @@ def test_cli_exits_0_or_2_and_leaves_no_trace_on_error(data):
         if draw(st.booleans()):
             (out / "adir" / "D.tsv").mkdir()
         (out / "old.tsv").write_text("old\n", encoding="utf-8")
+        yield inp, out
+
+
+def _run(argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code and stderr of ``argv``, checked against the exit contract."""
+    before = _snapshot(out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    after = _snapshot(out)
+    assert not [name for name in after if ".partial-" in name], (argv, after)
+    if code == 2:
+        assert err.startswith("error:"), (argv, err)
+        assert after == before, argv
+    return code, err
+
+
+_FUZZ = settings(deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@settings(_FUZZ, max_examples=500)
+@given(st.data())
+def test_cli_exits_0_or_2_and_leaves_no_trace_on_error(data):
+    draw = data.draw
+    with _dirs(draw) as (inp, out):
         g1 = draw(edge_texts())
         (inp / "g1.tsv").write_text(g1, encoding="utf-8")
         (inp / "g2.tsv").write_text(draw(edge_texts()), encoding="utf-8")
         (inp / "p.tsv").write_text(draw(partition_texts(g1)), encoding="utf-8")
         (inp / "config.json").write_text(draw(_CONFIGS), encoding="utf-8")
-        argv = _argv(draw, inp, out)
-        before = _snapshot(out)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("ignore")
-            code = main(argv)
-        err = stderr.getvalue()
-        assert code in (0, 2), (argv, err)
-        assert "Traceback" not in err, (argv, err)
-        after = _snapshot(out)
-        assert not [name for name in after if ".partial-" in name], (argv, after)
-        if code == 2:
-            assert err.startswith("error:"), (argv, err)
-            assert after == before, argv
+        _run(_argv(draw, inp, out), out)
+
+
+# A test of its own, so that simulate gets a fifth of the 625 examples: in one
+# mixed draw Hypothesis skips repeated draws, and the short simulate draws
+# repeat most.
+@settings(_FUZZ, max_examples=125)
+@given(st.data())
+def test_simulate_exits_0_on_valid_values_else_2(data):
+    draw = data.draw
+    with _dirs(draw) as (inp, out):
+        (inp / "ext.tsv").write_text("".join(f"n{i}\tc{i % 3}\n" for i in range(12)),
+                                     encoding="utf-8")
+        argv, rows = _simulate_argv(draw, inp, out)
+        code, err = _run(argv, out)
+        if rows is not None:
+            assert code == 0, (argv, err)
+            lines = Path(argv[-1]).read_text(encoding="utf-8").splitlines()
+            assert lines[:2] == ["# csvnet simulation schema_version=1", SIM_HEADER]
+            assert len(lines) == 2 + rows, argv
+            for line in lines[2:]:
+                ucsv, wcsv = map(float, line.split("\t")[7:9])
+                assert 0.0 <= wcsv <= ucsv <= 1.0, (argv, line)

@@ -29,6 +29,9 @@ SIMULATE = {
     "sim3": (["--v", "60", "--levels", "0.01", "0.2",
               "--algorithms", "louvain", "fast_greedy"],
              "c0c388b1e06ea2d025aeeca19aea3360d1a09b3dda04541f8f62636df643a0d9"),
+    # One node per planted block, so every draw at rate 0.0 is edgeless.
+    "sim3-edgeless": (["--v", "8", "--levels", "0.0", "0.3"],
+                      "e1a8b9ddb02f86c1bcd18cb33698898b3eaf181fa188c8fdbf3802b8f301fbde"),
 }
 
 COMPARE = {
@@ -74,11 +77,11 @@ def planted_edge_list(path: Path, v: int, theta_b: float, seed: int,
     return str(path)
 
 
-@pytest.mark.parametrize("sim", sorted(SIMULATE))
-def test_simulate_golden(sim, tmp_path):
-    flags, digest = SIMULATE[sim]
-    out = tmp_path / f"{sim}.tsv"
-    assert main(["simulate", sim, *flags, "--replicates", "2", "--seed", "17",
+@pytest.mark.parametrize("case", sorted(SIMULATE))
+def test_simulate_golden(case, tmp_path):
+    flags, digest = SIMULATE[case]
+    out = tmp_path / f"{case}.tsv"
+    assert main(["simulate", case.partition("-")[0], *flags, "--replicates", "2", "--seed", "17",
                  "--out", str(out)]) == 0
     assert sha256(out) == digest
 

@@ -144,6 +144,34 @@ def test_sim3_external_partition_missing_file(tmp_path, monkeypatch):
     assert calls == {}  # raised before any graph was drawn
 
 
+@pytest.mark.parametrize("run, kwargs", [
+    (run_sim1, dict(v_list=(8,), theta_between_grid=(0.0,))),
+    # Undegraded only: at q_frac 1.0 two nodes can share a block and link.
+    (run_sim2, dict(v=8, theta_between_levels=(0.0,), degradation_grid=(0.0,))),
+    (run_sim3, dict(v=8, theta_between_levels=(0.0,))),
+])
+def test_edgeless_draws_score_zero_and_run_no_detector(run, kwargs, monkeypatch):
+    # One node per planted block and no between links: every draw is edgeless.
+    calls = counted(monkeypatch, "louvain", "fast_greedy")
+    rows = run(**kwargs, replicates=2, seed=5)
+    assert len(rows) == (4 if run is run_sim3 else 2)
+    assert {(r.modularity, r.ucsv, r.wcsv) for r in rows} == {(0.0, 0.0, 0.0)}
+    assert (calls["louvain"], calls["fast_greedy"]) == (0, 0)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.0, float("nan")])
+@pytest.mark.parametrize("run, kwargs", [
+    (run_sim1, dict(v_list=(40,))),
+    (run_sim2, dict(v=40)),
+    (run_sim3, dict(v=40)),
+])
+def test_bad_alpha_raises_before_any_draw(run, kwargs, alpha, monkeypatch):
+    calls = counted(monkeypatch, "sample_graph")
+    with pytest.raises(ValueError, match="alpha"):
+        run(**kwargs, replicates=1, alpha=alpha)
+    assert calls == {}
+
+
 def test_degenerate_tests_pass_without_warnings(monkeypatch):
     """Degenerate tests are flagged in the family, not warned about, so the
     family, the study loop and compare_all run clean with every warning an
