@@ -25,6 +25,7 @@ from ._rng import derive_rng
 from .clustering import check_newick_label, fast_greedy, louvain, to_newick
 from .compare import SCHEMA_VERSION, compare_all, matrix_tsv
 from .dcsbm import (
+    SAMPLER_VERSION,
     DcsbmConfig,
     equal_block_sizes,
     planted_partition,
@@ -229,7 +230,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         args.out_graph: lambda path: save_graph(graph, path),
         args.out_partition: lambda path: save_partition(kept, connected, path),
     })
-    print(f"wrote {graph.n_nodes} nodes, {graph.n_edges} edges to "
+    print(f"wrote {graph.n_nodes} nodes, {graph.n_edges} edges "
+          f"(DC-SBM sampler v{SAMPLER_VERSION}) to "
           f"{args.out_graph}; partition of {len(connected)} connected nodes "
           f"to {args.out_partition}")
     return 0

@@ -5,19 +5,13 @@ probability min(w_i w_j theta[C_i, C_j], 1). Per-block weight normalization
 keeps the average nodal weight at 1, so theta entries read as plain block
 densities when weights are uniform.
 
-The sampler draws one uniform per node pair, block pair by block pair, and
-compares it with the pair's probability. It draws each block pair's uniforms
-into one reused buffer, which bounds its memory; the stream is the same as
-one draw per block pair, because consecutive draws from a Generator continue
-one sequence. It then builds probabilities for candidates only. The filter
-is exact: weights are positive and a rounded float product is monotone in
-each factor, so every pair's probability is at most the block pair's bound
-max(w_r) * max(w_s) * theta[r, s], and a uniform at or above the bound
-rejects the pair whatever its own probability. Where the bound exceeds 1,
-every uniform lies below it, so every pair of the buffer is a candidate and
-the count of pair probabilities above 1 in the warning stays exact. Such a
-pair is an edge without clamping, since its uniform is below 1. Time is
-still linear in the number of node pairs.
+The sampler's cost follows the edges, not the node pairs. Weights are
+positive and a rounded float product is monotone in each factor, so no pair
+of block pair (r, s) is likelier than p_max = min(max(w_r) * max(w_s) *
+theta[r, s], 1). Geometric gaps between Bernoulli(p_max) successes (Batagelj
+& Brandes 2005, Phys. Rev. E 71:036113) pick candidates; a uniform u keeps
+one when u * p_max < p_ij. Where p_max is 1, every pair is a candidate, so
+the clamped-pair count stays exact, and u * 1 < 1 keeps them.
 """
 
 from __future__ import annotations
@@ -30,9 +24,10 @@ import numpy as np
 from ._rng import derive_rng
 from .graph import Graph, Partition
 
-# Uniforms drawn per call to the generator: bounds the sampler's working
-# memory whatever the block sizes.
-_BUFFER = 1 << 16
+# Version 1 drew one uniform per node pair: one seed, different graphs.
+SAMPLER_VERSION = 2
+_BATCH = 1 << 14  # gaps per round of consecutive block pairs; bounds memory
+_MARGIN = 5.0  # a round draws ceil(mu + _MARGIN * (sigma + 2)) gaps per block pair
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -142,74 +137,79 @@ def sampled_node_labels(v: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(v))
 
 
+def _slots(left: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gaps per block pair and round: at most ``left``, which always reach the end."""
+    n = np.ceil(left * p + _MARGIN * (np.sqrt(left * p * (1.0 - p)) + 2.0))
+    return np.minimum(np.minimum(n, left), _BATCH).astype(np.int64)
+
+
+def _triangle(flat: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of ``flat`` in the strict upper triangle of an n x n block."""
+    c = 2 * n - 1  # row a starts at a * (c - a) / 2; the float guess is off by <= 1
+    a = ((c - np.sqrt(c * c - 8 * flat)) // 2).astype(np.int64)
+    a -= a * (c - a) // 2 > flat
+    a += (a + 1) * (c - a - 1) // 2 <= flat
+    return a, flat - a * (c - a) // 2 + a + 1
+
+
+def _skip_edges(asg, theta, w, rng) -> tuple[np.ndarray, int]:
+    """Edges and clamped-pair count of one draw; returning frees its temporaries."""
+    q = len(theta)
+    order = np.argsort(asg, kind="stable")  # nodes by block, ascending within
+    sizes = np.bincount(asg, minlength=q)
+    first = np.cumsum(sizes) - sizes
+    wmax = np.zeros(q)
+    np.maximum.at(wmax, asg, w)
+    r, s = np.triu_indices(q)
+    total = np.where(r == s, sizes[r] * (sizes[r] - 1) // 2, sizes[r] * sizes[s])
+    p_max = np.minimum(wmax[r] * wmax[s] * theta[r, s], 1.0)
+    live = (total > 0) & (p_max > 0.0)
+    r, s, total, p_max = r[live], s[live], total[live], p_max[live]
+    batch = np.cumsum(_slots(total, p_max)) // _BATCH
+    edges, n_clamped = [np.empty((0, 2), dtype=np.int64)], 0
+    for j in np.split(np.arange(r.size), np.flatnonzero(np.diff(batch)) + 1):
+        done = np.zeros(j.size, dtype=np.int64)  # node pairs decided so far
+        while j.size:
+            left = total[j] - done
+            n = _slots(left, p_max[j])
+            ends, lim = np.cumsum(n), np.repeat(left, n)
+            # Any gap past the end ends the pair; clipping stops INT64_MAX wrapping.
+            gaps = np.clip(rng.geometric(np.repeat(p_max[j], n)), 1, lim + 1)
+            pos = np.cumsum(gaps)
+            pos -= np.repeat(pos[ends - n] - gaps[ends - n], n)  # per pair
+            hit = (pos <= lim).nonzero()[0]
+            pair = np.searchsorted(ends, hit, side="right")
+            k, flat = j[pair], done[pair] + pos[hit] - 1
+            a, b = np.divmod(flat, sizes[s[k]])
+            diag = (r[k] == s[k]).nonzero()[0]
+            a[diag], b[diag] = _triangle(flat[diag], sizes[r[k[diag]]])
+            pairs = np.stack([order[first[r[k]] + a], order[first[s[k]] + b]], axis=1)
+            probs = w[pairs[:, 0]] * w[pairs[:, 1]] * theta[r[k], s[k]]
+            n_clamped += int(np.count_nonzero(probs > 1.0))
+            edges.append(pairs[rng.random(k.size) * p_max[k] < probs])
+            short = pos[ends - 1] < left
+            j, done = j[short], (done + pos[ends - 1])[short]
+    return np.concatenate(edges), n_clamped
+
+
 def sample_graph(assignment, theta, weights, seed) -> Graph:
     """Draw one undirected graph from block rates over a fixed assignment.
 
     Blocks referenced by ``assignment`` may be empty (theta rows for absent
-    blocks are simply unused). Uniform variates are consumed blockwise over
-    pairs r <= s in lexicographic order, skipping zero-rate blocks, which
-    makes the draw bit-reproducible for a given seed.
+    blocks are simply unused). Block pairs r <= s with a nonzero bound go in
+    lexicographic order, in rounds: each draws its gaps, then its candidates'
+    uniforms; pairs short of their end go on. Bit-reproducible per seed.
     """
     asg = np.asarray(assignment, dtype=np.int64)
     theta = _check_theta(theta)
-    v = asg.size
-    q = theta.shape[0]
-    w = _check_weights(weights, v)
-    if asg.size and (asg.min() < 0 or asg.max() >= q):
+    w = _check_weights(weights, asg.size)
+    if asg.size and (asg.min() < 0 or asg.max() >= len(theta)):
         raise ValueError("assignment references a block outside theta")
-    rng = derive_rng(seed)
-    members = [np.flatnonzero(asg == r) for r in range(q)]
-    wmax = [float(w[m].max()) if m.size else 0.0 for m in members]
-    largest = max((m.size for m in members), default=0)
-    buf = np.empty(min(_BUFFER, largest * largest))
-    heads: list[np.ndarray] = []
-    tails: list[np.ndarray] = []
-    n_clamped = 0
-    for r in range(q):
-        rows = members[r]
-        nr = rows.size
-        # Flat index of pair (row, row + 1) in the block's row-major upper
-        # triangle, for each row that has pairs.
-        row = np.arange(max(nr - 1, 0))
-        starts = row * (2 * nr - row - 1) // 2
-        row_heads: list[np.ndarray] = []
-        row_tails: list[np.ndarray] = []
-        for s in range(r, q):
-            rate = theta[r, s]
-            cols = members[s]
-            ns = cols.size
-            if rate == 0.0 or not nr or not ns:
-                continue
-            n_pairs = nr * (nr - 1) // 2 if r == s else nr * ns
-            # Every pair's probability is at most this bound (see the
-            # module docstring).
-            bound = wmax[r] * wmax[s] * rate
-            for lo in range(0, n_pairs, buf.size):
-                draws = rng.random(out=buf[:min(buf.size, n_pairs - lo)])
-                hit = (draws < bound).nonzero()[0]
-                if not hit.size:
-                    continue
-                flat = hit + lo
-                if r == s:
-                    a = np.searchsorted(starts, flat, side="right") - 1
-                    b = flat - starts[a] + a + 1
-                else:
-                    a, b = np.divmod(flat, ns)
-                u, vv = rows[a], cols[b]
-                probs = w[u] * w[vv] * rate
-                n_clamped += int(np.count_nonzero(probs > 1.0))
-                mask = draws[hit] < probs
-                row_heads.append(u[mask])
-                row_tails.append(vv[mask])
-        if row_heads:  # one array per block row keeps the lists short
-            heads.append(np.concatenate(row_heads))
-            tails.append(np.concatenate(row_tails))
+    edges, n_clamped = _skip_edges(asg, theta, w, derive_rng(seed))
     if n_clamped:
         warnings.warn(f"clamped {n_clamped} pair probabilities to 1; "
                       "weights or rates may be misconfigured", stacklevel=2)
-    edges = (np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
-             if heads else np.empty((0, 2), dtype=np.int64))
-    return Graph(sampled_node_labels(v), edges)
+    return Graph(sampled_node_labels(asg.size), edges)
 
 
 def sample_dcsbm(config: DcsbmConfig) -> tuple[Graph, Partition]:

@@ -5,14 +5,16 @@ package's own floating-point code paths. ``full_support_pmf`` and
 ``full_support_mid_p`` are the float64 reference for bit-identity: the
 whole-support pmf construction the package used before its pmfs stopped at
 float64 underflow. ``pairwise_sample_graph`` is the blockmodel sampler that
-builds every node pair's probability; the package's sampler must match its
-edges, warning and random stream bit for bit. ``line_loop_load_graph`` is
-the per-line edge-list parser with a Python set for deduplication; the
-package's record reader must give the same labels, edges, warnings and
-errors. ``recursive_from_newick`` is the recursive-descent Newick parser
-that builds a nested-tuple parse tree and walks it; the package's one-pass
-scanner must give the same dendrogram, or a ValueError wherever it raises
-one (past Python's recursion limit it reports "too deep" instead).
+builds every node pair's probability and draws one uniform per pair (the
+package's sampler version 1); the package's geometric-skip sampler must
+match its per-pair edge frequencies over many seeds and its warning word for
+word. ``line_loop_load_graph`` is the per-line edge-list parser with a
+Python set for deduplication; the package's record reader must give the same
+labels, edges, warnings and errors. ``recursive_from_newick`` is the
+recursive-descent Newick parser that builds a nested-tuple parse tree and
+walks it; the package's one-pass scanner must give the same dendrogram, or a
+ValueError wherever it raises one (past Python's recursion limit it reports
+"too deep" instead).
 """
 
 from __future__ import annotations

@@ -275,6 +275,9 @@ def test_generate_complete_graph(tmp_path, capsys):
                  "--out-partition", str(out_part)]) == 0
     assert len(read(out_graph).splitlines()) == 45
     assert len(read(out_part).splitlines()) == 10
+    assert capsys.readouterr().out == (
+        f"wrote 10 nodes, 45 edges (DC-SBM sampler v2) to {out_graph}; "
+        f"partition of 10 connected nodes to {out_part}\n")
 
 
 def test_generate_roundtrips_through_validate(tmp_path, capsys):

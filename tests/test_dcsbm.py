@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import block_link_counts, pairwise_sample_graph
 
+from csvnet import dcsbm
 from csvnet.dcsbm import (
     DcsbmConfig,
     degrade_partition,
@@ -226,23 +227,114 @@ def _oracle_cases():
 ORACLE_CASES = _oracle_cases()
 
 
-def _draw(sampler, assignment, theta, weights, seed):
-    """Edge bytes, warning texts and the next uniform of the caller's stream."""
-    rng = derive_rng(seed)
+# Bounds fixed before any result was seen: each pair's count of edges over
+# the seeds lies within _Z standard deviations of its expectation (plus a
+# slack of _Z edges for rare pairs, whose counts are far from normal), and
+# so do the per-node edge totals and the sum of squared per-pair z-scores.
+_Z = 7.0
+
+
+def _assert_matches_oracle(assignment, theta, weights, n: int) -> None:
+    """Edge frequencies over seeds 0..n-1 match min(p_ij, 1) (see _Z), and
+    every draw's clamped-pair warning is the oracle's, word for word."""
+    v = assignment.size
+    counts = np.zeros(v * v, dtype=np.int64)
+    texts = set()
+    for seed in range(n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            edges = sample_graph(assignment, theta, weights, seed).edges
+        texts.add(tuple(str(w.message) for w in caught))
+        counts += np.bincount(edges[:, 0] * v + edges[:, 1], minlength=v * v)
+    counts = counts.reshape(v, v)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        graph = sampler(assignment, theta, weights, rng)
-    return graph.edges.tobytes(), [str(w.message) for w in caught], rng.random()
+        pairwise_sample_graph(assignment, theta, weights, 0)
+    assert texts == {tuple(str(w.message) for w in caught)}
+    # The oracle's probabilities, as it computes them.
+    p = np.minimum(np.outer(weights, weights) * theta[np.ix_(assignment, assignment)], 1.0)
+    upper = np.triu(np.ones_like(p, dtype=bool), k=1)
+    assert counts.sum(), "every case samples some edges"
+    assert not counts[~upper].any()
+    assert not counts[upper & (p == 0.0)].any()
+    assert np.all(counts[upper & (p == 1.0)] == n)
+    mean, var = n * p[upper], n * p[upper] * (1.0 - p[upper])
+    dev = counts[upper] - mean
+    assert np.all(np.abs(dev) <= _Z * np.sqrt(var) + _Z)
+    # Per-node totals: mean and variance of a sum of independent pairs.
+    node_dev = (counts + counts.T) - n * (p * upper + (p * upper).T)
+    node_var = np.where(upper, p * (1.0 - p), 0.0) * n
+    node_var = node_var.sum(axis=0) + node_var.sum(axis=1)
+    assert np.all(np.abs(node_dev.sum(axis=1)) <= _Z * np.sqrt(node_var) + _Z)
+    # Pearson's statistic over the pairs with 0 < p < 1; the variance of
+    # each squared z-score is 2 plus the binomial's excess kurtosis.
+    open_ = var > 0.0
+    z2 = dev[open_] ** 2 / var[open_]
+    pq = var[open_] / n
+    z2_var = 2.0 + (1.0 - 6.0 * pq) / var[open_]
+    assert abs(z2.sum() - z2.size) <= _Z * np.sqrt(z2_var.sum())
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_sample_graph_matches_pairwise_oracle(case):
     assignment, theta, weights = ORACLE_CASES[case]
-    for seed in (0, 1):
-        got = _draw(sample_graph, assignment, theta, weights, seed)
-        assert got == _draw(pairwise_sample_graph, assignment, theta, weights, seed)
-        assert got[0], "every case samples some edges"
-        assert bool(got[1]) == case.startswith("clamped")
+    _assert_matches_oracle(assignment, theta, weights, 40 if "buffer" in case else 400)
+    if case.startswith("clamped"):
+        with pytest.warns(UserWarning, match="clamped"):
+            sample_graph(assignment, theta, weights, 0)
+
+
+@pytest.mark.parametrize("case", ["uniform", "powerlaw", "clamped just above 1"])
+def test_sample_graph_top_ups_match_pairwise_oracle(case, monkeypatch):
+    """With no spare gaps, most block pairs fall short and are topped up."""
+    monkeypatch.setattr(dcsbm, "_MARGIN", 0.0)
+    rounds = []
+    slots = dcsbm._slots
+    monkeypatch.setattr(dcsbm, "_slots", lambda *a: rounds.append(1) or slots(*a))
+    _assert_matches_oracle(*ORACLE_CASES[case], 200)
+    # Per draw, one call sizes the only batch and one starts its first
+    # round; every further call is a top-up round.
+    assert len(rounds) > 2 * 200
+
+
+@pytest.mark.parametrize("rate", [1e-300, 5e-324])
+def test_tiny_rates_give_no_spurious_edges(rate):
+    """numpy draws INT64_MAX gaps at such rates; unclipped, they wrap."""
+    assignment = planted_partition((300, 200, 100)).assignment
+    theta = theta_matrix(0.05, rate, 3)
+    weights = np.where(np.arange(600) % 2, 0.5, 1.5)
+    for seed in range(5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = sample_graph(assignment, theta, weights, seed)
+        blocks = assignment[graph.edges]
+        assert graph.n_edges > 0 and np.all(blocks[:, 0] == blocks[:, 1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 4_097, 100_003, 3_037_000_499 // 2])
+def test_triangle_decode_at_row_boundaries(n):
+    """Flat indices at the first and last column of each checked row decode
+    exactly, however far the float square root is off."""
+    rows = np.unique(np.r_[0, 1, n // 2, n - 3, n - 2,
+                           derive_rng(n).integers(0, n - 1, 50)].clip(0, n - 2))
+    start = rows * (2 * n - 1 - rows) // 2
+    last = start + (n - 2 - rows)
+    for flat, col in ((start, rows + 1), (last, np.full(rows.size, n - 1))):
+        a, b = dcsbm._triangle(flat, np.full(rows.size, n))
+        assert np.array_equal(a, rows) and np.array_equal(b, col)
+    if n <= 64:
+        a, b = dcsbm._triangle(np.arange(n * (n - 1) // 2), np.full(n * (n - 1) // 2, n))
+        assert np.array_equal(np.stack([a, b]), np.triu_indices(n, k=1))
+
+
+def test_complete_blocks_decode_every_in_block_pair():
+    """At rate 1 every pair of a block is a candidate, so the diagonal
+    decode visits every triangular row start and end."""
+    assignment = _shuffled((45, 46), 7)
+    graph = sample_graph(assignment, theta_matrix(1.0, 0.0, 2), np.ones(91), seed=3)
+    i, j = np.triu_indices(91, k=1)
+    same = assignment[i] == assignment[j]
+    assert np.array_equal(graph.edges, np.stack([i[same], j[same]], axis=1))
 
 
 def test_sample_graph_memory_is_bounded():

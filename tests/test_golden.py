@@ -1,13 +1,14 @@
 """Golden outputs of the simulate, compare and validate commands.
 
 Each case runs the CLI in-process at toy size and pins the sha256 of every
-file it writes. The simulate and compare digests were recorded while those
-commands still ran on a thread pool, and the validate digests while every
-test's pmf was still built over its whole support; any later refactor must
-reproduce them byte for byte, and a change that means to alter output must
-version it and re-record. The compare and validate inputs come from this
-file's own numpy sampler, so a change to csvnet's generator moves only the
-simulate digests.
+file it writes. The compare digests were recorded while that command still
+ran on a thread pool, the validate digests while every test's pmf was still
+built over its whole support, and the simulate digests with DC-SBM sampler
+version 2 (``dcsbm.SAMPLER_VERSION``); any later refactor must reproduce
+them byte for byte, and a change that means to alter output must version it
+and re-record. The compare and validate inputs come from this file's own
+numpy sampler, so a change to csvnet's generator moves only the simulate
+digests.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from csvnet.cli import main
 
 SIMULATE = {
     "sim1": (["--v", "60", "--grid", "0.0", "0.1"],
-             "14e039f718987ad97064b1c114a70d8b05c5a0ce3c252fcf4b64ecde7ca68de1"),
+             "b31b928e621753c66c9de5feefda0200d4fe7e98c52d4cb911d2d053d8641bf7"),
     "sim2": (["--v", "60", "--levels", "0.01", "0.2",
               "--degradation-grid", "0.0", "0.5"],
-             "c76fc60e5a78f4ef92aedac63bc1cd82e5ba2875b7a14698c5cfae3307641ad2"),
+             "c966e6371f4be1040da979b2431db1547a8c5d34c690e7aef192f1646c58cfdf"),
     "sim3": (["--v", "60", "--levels", "0.01", "0.2",
               "--algorithms", "louvain", "fast_greedy"],
-             "c0c388b1e06ea2d025aeeca19aea3360d1a09b3dda04541f8f62636df643a0d9"),
+             "f9fb6020d6e60200ec4a5e32b0706ecf288f1568b553ead63bbf4329d0d6e83a"),
     # One node per planted block, so every draw at rate 0.0 is edgeless.
     "sim3-edgeless": (["--v", "8", "--levels", "0.0", "0.3"],
-                      "e1a8b9ddb02f86c1bcd18cb33698898b3eaf181fa188c8fdbf3802b8f301fbde"),
+                      "e4f79cdb1a1ec9b3cb40d9b7a9aede3c6a82c43a9771a8f3bee1648b138ddee0"),
 }
 
 COMPARE = {
