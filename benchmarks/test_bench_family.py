@@ -1,4 +1,5 @@
-"""Timing of the validation test family: ``csv_report`` at q = 8, 50 and 200.
+"""Timing of the validation test family: ``csv_report`` at q = 8, 50 and 200,
+and the ``mid_p_family`` engine alone on the q = 200 family.
 
 Run from the repository root (outside the default ``testpaths``, so the test
 suite never collects it):
@@ -17,6 +18,7 @@ import pytest
 
 from csvnet.graph import Graph, Partition
 from csvnet.indices import csv_report
+from csvnet.stats import mid_p_family
 
 
 def planted(q: int, seed: int = 5) -> tuple[Graph, Partition]:
@@ -37,3 +39,18 @@ def test_csv_report(benchmark, q):
     report = benchmark.pedantic(csv_report, args=(graph, partition), rounds=5,
                                 warmup_rounds=1)
     assert len(report.matrix.results) == q * (q + 1) // 2
+
+
+def test_mid_p_family(benchmark):
+    # csv_report's 20,100 tests at q = 200, without the link count, BH and
+    # the report: (x, N, K, n, upper) as enrichment_matrix passes them.
+    graph, partition = planted(200)
+    q = partition.q
+    ends = partition.assignment[graph.edges]
+    links = np.bincount(ends[:, 0] * q + ends[:, 1], minlength=q * q).reshape(q, q)
+    links = links + links.T
+    stubs = links.sum(axis=1)
+    r, s = np.triu_indices(q)
+    args = (links[r, s], int(stubs.sum()), stubs[s], stubs[r], r == s)
+    p = benchmark.pedantic(mid_p_family, args=args, rounds=5, warmup_rounds=1)
+    assert p.size == 20_100

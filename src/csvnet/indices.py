@@ -17,7 +17,7 @@ import numpy as np
 from .enrichment import EnrichmentMatrix, enrichment_matrix
 from .graph import Graph, Partition, fmt_float
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: mid-p normalizers and tails are running sums
 
 
 def _check_alpha(alpha: float) -> float:

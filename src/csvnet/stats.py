@@ -21,14 +21,12 @@ supports about 2,000 long.
 Bit-identity with the whole-support walk. A sequential cumsum's prefix never
 depends on later entries, and the walk continues across a window edge as
 ``cumsum([carry, ratios...])``, so every log-weight, each row maximum and
-each exp() are the same floats as over the whole support. Sums are grouped
-sums: each normalizer and each tail is a slice of the zero-padded support,
-copied into a zero row of the slice's own length, and the rows of one
-(start, stop) range are summed in one axis-1 ``sum``. numpy sums every row
-of a C-contiguous array with the pairwise sum of that 1-D row, so each sum
-adds the same numbers in the same grouping as ``pmf.sum()`` and
-``pmf[j + 1:].sum()`` over the whole support: the zeros past the window are
-the same zeros.
+each exp() are the same floats as over the whole support. Every sum is a
+running sum too: the normalizer is the last entry of the row's cumsum, a
+lower tail sums upward from the support's low end, and an upper tail sums
+downward from the window's end. Past the window the whole support holds only
+zeros, which add exactly nothing to a running sum, so each sum is the same
+float as the whole-support cumsum; a point past the window reads 0.
 
 Tail sums always accumulate the requested side directly from the pmf, so
 deep tails keep full relative precision instead of collapsing into
@@ -155,8 +153,7 @@ def _block_pmfs(idx, lo, size, K, n, c, width: int):
         part = logw[done]
         part[np.arange(width) >= size[done][:, None]] = -np.inf
         weights = np.exp(part - part.max(axis=1)[:, None])
-        rows = np.arange(weights.shape[0])
-        weights /= _sums(weights, rows, np.zeros_like(rows), size[done])[:, None]
+        weights /= np.cumsum(weights, axis=1)[:, -1:]
         yield idx[done], size[done], weights
         if done.all():
             return
@@ -166,34 +163,12 @@ def _block_pmfs(idx, lo, size, K, n, c, width: int):
         logw = _extend(logw[keep], lo, K, n, c, width)
 
 
-def _sums(w: np.ndarray, rows: np.ndarray, begin: np.ndarray,
-          end: np.ndarray) -> np.ndarray:
-    """``w[rows[k], begin[k]:end[k]].sum()`` for each k, with ``w`` read as
-    zero past its last column.
-
-    Each slice is copied into a zero row of its own length, and the slices
-    of one ``(begin, end)`` range are summed together along axis 1, which
-    sums each row with numpy's pairwise sum of that 1-D slice: the same
-    numbers in the same grouping as a slice of the zero-padded support.
-    """
-    out = np.empty(rows.size)
-    key = begin * (int(end.max(initial=0)) + 1) + end
-    order = np.argsort(key, kind="stable")
-    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
-    for k in np.split(order, heads)[1:]:
-        a, b = int(begin[k[0]]), int(end[k[0]])
-        stop = max(a, min(b, w.shape[1]))
-        part = np.zeros((k.size, b - a))
-        part[:, :stop - a] = w[rows[k], a:stop]
-        out[k] = part.sum(axis=1)
-    return out
-
-
 def _tail(pmf: np.ndarray, j: int, upper: bool) -> float:
-    """Mid-p of the point ``j`` of a unit-normalized pmf, summing the
-    requested side directly."""
-    side = pmf[j + 1:] if upper else pmf[:j]
-    return min(0.5 * float(pmf[j]) + float(side.sum()), 1.0)
+    """Mid-p of the point ``j`` of a unit-normalized pmf, with the requested
+    side as a running sum: downward from the support's end, or upward from
+    its low end."""
+    side = np.cumsum(np.append(0.0, pmf[:j:-1] if upper else pmf[:j]))[-1]
+    return min(0.5 * float(pmf[j]) + float(side), 1.0)
 
 
 def mid_p_family(x, N, K, n, upper) -> np.ndarray:
@@ -215,16 +190,22 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     first = np.flatnonzero(np.diff(triple, axis=1, prepend=-1).any(axis=0))
     count = np.diff(first, append=by_triple.size)
     j = x - lo
-    for idx, size, pmfs in _pmf_blocks(*triple[:, first]):
+    for idx, _, pmfs in _pmf_blocks(*triple[:, first]):
         # The tests of these triples, and the pmf row of each.
         per = count[idx]
         row = np.repeat(np.arange(idx.size), per)
         tests = by_triple[np.repeat(first[idx] - (np.cumsum(per) - per), per)
                           + np.arange(row.size)]
         at, up = j[tests], upper[tests]
+        # Running sums with a leading 0: below[:, k] adds the first k entries
+        # upward, above[:, k] the last k downward from the window's end.
         width = pmfs.shape[1]
+        zero = np.zeros((idx.size, 1))
+        below = np.cumsum(np.hstack((zero, pmfs)), axis=1)
+        above = np.cumsum(np.hstack((zero, pmfs[:, ::-1])), axis=1)
         point = np.where(at < width, pmfs[row, np.minimum(at, width - 1)], 0.0)
-        side = _sums(pmfs, row, np.where(up, at + 1, 0), np.where(up, size[row], at))
+        side = np.where(up, above[row, np.maximum(width - 1 - at, 0)],
+                        below[row, np.minimum(at, width)])
         out[tests] = np.minimum(0.5 * point + side, 1.0)
     return out.reshape(shape)
 
@@ -262,7 +243,7 @@ def bh_adjust(pvalues) -> np.ndarray:
         raise ValueError("expected a flat sequence of p-values")
     if p.size == 0:
         return p.copy()
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

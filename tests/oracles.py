@@ -4,7 +4,8 @@ The exact ones are computed with Fractions and math.comb, never with the
 package's own floating-point code paths. ``full_support_pmf`` and
 ``full_support_mid_p`` are the float64 reference for bit-identity: the
 whole-support pmf construction the package used before its pmfs stopped at
-float64 underflow. ``pairwise_sample_graph`` is the blockmodel sampler that
+float64 underflow, with every sum a running (left-to-right) sum over the
+whole support. ``pairwise_sample_graph`` is the blockmodel sampler that
 builds every node pair's probability and draws one uniform per pair (the
 package's sampler version 1); the package's geometric-skip sampler must
 match its per-pair edge frequencies over many seeds and its warning word for
@@ -65,23 +66,26 @@ def full_support_pmf(N: int, K: int, n: int) -> np.ndarray:
     logw = np.concatenate(([0.0], np.cumsum(ratios)))
     logw -= logw.max()
     out = np.exp(logw)
-    out /= out.sum()
+    out /= np.cumsum(out)[-1]
     return out
 
 
 def full_support_mid_p(xs: list[int], N: int, K: int, n: int, upper: bool) -> list[float]:
-    """Upper or lower mid-p tail at each of ``xs``, summed from
-    :func:`full_support_pmf`."""
+    """Upper or lower mid-p tail at each of ``xs``, from running sums of
+    :func:`full_support_pmf`: upward from the support's low end, or downward
+    from its high end."""
     lo, hi = max(0, n + K - N), min(n, K)
     pmf = full_support_pmf(N, K, n)
+    below = np.concatenate(([0.0], np.cumsum(pmf)))  # below[i]: pmf[:i]
+    above = np.concatenate(([0.0], np.cumsum(pmf[::-1])))[::-1]  # above[i]: pmf[i:]
     out = []
     for x in xs:
         if x < lo or x > hi:
             out.append(float(upper == (x < lo)))
             continue
         i = x - lo
-        tail = pmf[i + 1:] if upper else pmf[:i]
-        out.append(min(0.5 * float(pmf[i]) + float(tail.sum()), 1.0))
+        tail = above[i + 1] if upper else below[i]
+        out.append(min(0.5 * float(pmf[i]) + float(tail), 1.0))
     return out
 
 

@@ -121,12 +121,15 @@ def test_criterion_05_degradation_robustness():
                for q in grid]
     med_02 = medians[grid.index(0.2)]
     med_08 = medians[grid.index(0.8)]
-    max_rise = max(b - a for a, b in zip(medians, medians[1:]))
+    steps = [b - a for a, b in zip(medians, medians[1:])]
+    max_rise = max(steps)
+    k = steps.index(max_rise)
     ok = med_02 >= 0.9 and med_08 <= 0.2 and max_rise <= 0.05
     elapsed = time.perf_counter() - start
     _verdict(5, "degradation robustness", ok,
              f"median {med_02:.3f} at q=0.2, {med_08:.3f} at q=0.8, "
-             f"max rise {max_rise:.3f} (slack 0.05)", elapsed, 180.0)
+             f"max rise {max_rise:.3f} at q {grid[k]}->{grid[k + 1]} (slack 0.05)",
+             elapsed, 180.0)
 
 
 def test_criterion_06_algorithm_comparison():

@@ -32,7 +32,7 @@ def test_validate_json_output(triangles, capsys):
     graph, partition = triangles
     assert main(["validate", graph, partition]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["ucsv"] == 1.0
     assert payload["q"] == 2
 
@@ -44,7 +44,7 @@ def test_validate_tsv_to_file(triangles, tmp_path, capsys):
                  "--format", "tsv", "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     text = read(out)
-    assert text.startswith("# csvnet report schema_version=1\n")
+    assert text.startswith("# csvnet report schema_version=2\n")
     assert "\nindex\tucsv\t1.0\n" in text
 
 

@@ -2,9 +2,10 @@
 
 Each case runs the CLI in-process at toy size and pins the sha256 of every
 file it writes. The compare digests were recorded while that command still
-ran on a thread pool, the validate digests while every test's pmf was still
-built over its whole support, and the simulate digests with DC-SBM sampler
-version 2 (``dcsbm.SAMPLER_VERSION``); any later refactor must reproduce
+ran on a thread pool, the validate digests with report schema version 2
+(``indices.SCHEMA_VERSION``: every mid-p normalizer and tail a running sum),
+and the simulate digests with DC-SBM sampler version 2
+(``dcsbm.SAMPLER_VERSION``); any later refactor must reproduce
 them byte for byte, and a change that means to alter output must version it
 and re-record. The compare and validate inputs come from this file's own
 numpy sampler, so a change to csvnet's generator moves only the simulate
@@ -48,12 +49,12 @@ COMPARE = {
 # thousand while its mass sits within a few hundred of the mode.
 VALIDATE = {
     "undirected": (False, {
-        "json": "3a615e304ced933c68725dcc06e4fed9f863450196bae5df022c7194d23420e9",
-        "tsv": "86d7e552816603ac52591b7f63fd6519f06089afbcf4c3df96d7838c5a633097",
+        "json": "ffe375de92d4469ebc49f3536511e92c0c4b10ff9bfc05c174e07b2c26924ca7",
+        "tsv": "06e5105971583663ee4173150697cb625725af734ef4a618f7e3367932fc303b",
     }),
     "directed": (True, {
-        "json": "ab8349a6015092ef40dd5a5be28157325d4d02f726f16a8a607edce914ac5c95",
-        "tsv": "0efbdbafaf6f541564c6f43d8da1a3fc0b3d741a9347e89948a9ab3d4e71f4b1",
+        "json": "f136ee4b515ab981547801e3ce0dc547d79637e63ba09e2b3e5d81009521ceab",
+        "tsv": "db84d2c94db4a043dfbd5b23b26c3c39cab5375bb840fc5e22576db2970dd433",
     }),
 }
 

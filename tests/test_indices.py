@@ -208,14 +208,14 @@ def test_report_serialization_round_trip():
     payload = json.loads(text)
     assert list(payload) == ["schema_version", "alpha", "directed", "q",
                              "ucsv", "wcsv", "communities", "tests"]
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["ucsv"] == 1.0
     assert len(payload["tests"]) == 3
 
     tsv = report_to_tsv(rep)
     assert tsv == report_to_tsv(rep)
     lines = tsv.splitlines()
-    assert lines[0].startswith("# csvnet report schema_version=1")
+    assert lines[0].startswith("# csvnet report schema_version=2")
     kinds = [line.split("\t")[0] for line in lines[1:]]
     assert kinds == ["index"] * 3 + ["community"] * 2 + ["test"] * 3
 
@@ -223,7 +223,7 @@ def test_report_serialization_round_trip():
 def _json_dumps_report(report) -> str:
     """The report as ``json.dumps`` lays it out, for the direct writer."""
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "alpha": report.alpha,
         "directed": report.matrix.directed,
         "q": report.matrix.q,

@@ -6,6 +6,10 @@ Fraction-arithmetic oracles in tests/oracles.py.
 
 from __future__ import annotations
 
+import time
+from itertools import accumulate
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +120,45 @@ def test_mid_p_large_population_tail_precision():
     direct = upper_mid_p(40, p)
     oracle = float(exact_upper_mid_p(40, p.N, p.K, p.n))
     assert direct == pytest.approx(oracle, rel=1e-9)
+
+
+def exact_mid_ps(xs, N: int, K: int, n: int, upper: bool) -> list[float]:
+    """Exact mid-p-values at each of ``xs`` inside the support, from the
+    integer weights C(K, x) C(N - K, n - x) built by their term-ratio
+    recurrence; Python's int division rounds each quotient correctly."""
+    lo, hi = max(0, n + K - N), min(n, K)
+    t = [comb(K, lo) * comb(N - K, n - lo)]
+    for x in range(lo, hi):
+        t.append(t[-1] * (K - x) * (n - x) // ((x + 1) * (N - K - n + x + 1)))
+    total = sum(t)
+    assert total == comb(N, n)
+    below = [0, *accumulate(t)]  # below[i]: the first i weights
+    out = []
+    for x in xs:
+        i = x - lo
+        side = total - below[i + 1] if upper else below[i]
+        out.append((2 * side + t[i]) / (2 * total))
+    return out
+
+
+def test_mid_p_precision_on_long_supports():
+    # Supports of 600-2,000 points at N = 40,000: both tails at the mean and
+    # at 1-4 sd on either side (down to 0, the support's low end), each to
+    # 1e-13 of the exact value.
+    N = 40_000
+    pairs = [(600, 600), (600, 2_000), (2_000, 600), (1_000, 1_500),
+             (2_000, 2_000), (800, 1_200), (1_500, 700), (1_200, 1_900)]
+    start = time.perf_counter()
+    for K, n in pairs:
+        assert min(K, n) >= 500
+        mean = n * K / N
+        sd = (mean * (N - K) / N * (N - n) / (N - 1)) ** 0.5
+        xs = sorted({max(round(mean + k * sd), 0) for k in range(-4, 5)})
+        for upper in (True, False):
+            got = mid_p_family(xs, N, K, n, upper).tolist()
+            for g, e in zip(got, exact_mid_ps(xs, N, K, n, upper)):
+                assert g == pytest.approx(e, rel=1e-13, abs=0), (K, n, upper)
+    assert time.perf_counter() - start < 2.0
 
 
 # --- family engine: bit-identical to the whole-support walk -------------------
@@ -240,6 +283,26 @@ def test_scalar_api_reads_the_family_engine():
             assert family.tolist() == [upper_mid_p(x, p), lower_mid_p(x, p)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(target=st.integers(1, 5_000).flatmap(lambda N: st.tuples(
+           st.just(N), st.integers(0, N), st.integers(0, N))),
+       x=st.integers(-1, 5_001), upper=st.booleans(),
+       wide=st.lists(st.integers(10_000, 400_000).flatmap(lambda N: st.tuples(
+           st.just(N), st.integers(1, N // 2), st.integers(1, N // 2))), max_size=6),
+       at=st.integers(0, 8))
+def test_mid_p_alone_equals_mid_p_in_a_wide_family(target, x, upper, wide, at):
+    # The wide triples put the test's row into blocks of other widths, and
+    # the two fixed ones (means near 1 on supports of 600-1,000) make their
+    # block's window double after the test's row has stopped.
+    others = [(1_000_000, 1_000, 1_000), (400_000, 600, 700), *wide]
+    tests = [(N, K, n, K * n // N, k % 2 == 0) for k, (N, K, n) in enumerate(others)]
+    at = min(at, len(tests))
+    tests.insert(at, (*target, x, upper))
+    N, K, n, xs, ups = map(np.array, zip(*tests))
+    alone = mid_p_family(x, *target, upper)
+    assert mid_p_family(xs, N, K, n, ups)[at] == alone
+
+
 def test_family_shapes_and_validation():
     got = mid_p_family(np.array([[0, 1], [2, 3]]), 4, 2, 2, True)
     assert got.shape == (2, 2)
@@ -267,6 +330,9 @@ def test_bh_trivial_cases():
 def test_bh_rejects_out_of_range():
     with pytest.raises(ValueError):
         bh_adjust([0.5, 1.5])
+    # NaN compares false with both bounds, so a min/max check lets it through.
+    with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+        bh_adjust([0.01, float("nan"), 0.5])
 
 
 def test_bh_matches_reference():
