@@ -1,5 +1,6 @@
 """Timing of the validation test family: ``csv_report`` at q = 8, 50 and 200,
-and the ``mid_p_family`` engine alone on the q = 200 family.
+the ``mid_p_family`` engine alone on the q = 200 family, and the scalar
+``upper_mid_p``/``lower_mid_p`` API in acceptance criterion 1's shape.
 
 Run from the repository root (outside the default ``testpaths``, so the test
 suite never collects it):
@@ -18,7 +19,7 @@ import pytest
 
 from csvnet.graph import Graph, Partition
 from csvnet.indices import csv_report
-from csvnet.stats import mid_p_family
+from csvnet.stats import HypergeomParams, lower_mid_p, mid_p_family, upper_mid_p
 
 
 def planted(q: int, seed: int = 5) -> tuple[Graph, Partition]:
@@ -54,3 +55,30 @@ def test_mid_p_family(benchmark):
     args = (links[r, s], int(stubs.sum()), stubs[s], stubs[r], r == s)
     p = benchmark.pedantic(mid_p_family, args=args, rounds=5, warmup_rounds=1)
     assert p.size == 20_100
+
+
+def scalar_tails(triples) -> int:
+    """Both tails at every support point of each triple, one fresh
+    HypergeomParams per triple, as criterion 1 reads them."""
+    points = 0
+    for triple in triples:
+        params = HypergeomParams(*triple)
+        lo, hi = params.support
+        for x in range(lo, hi + 1):
+            upper_mid_p(x, params)
+            lower_mid_p(x, params)
+        points += hi - lo + 1
+    return points
+
+
+def test_scalar_mid_p(benchmark):
+    # Criterion 1's 200 triples: N in [1, 60], then K and n in [0, N].
+    rng = np.random.default_rng(1)
+    triples = []
+    for _ in range(200):
+        n_pop = int(rng.integers(1, 61))
+        triples.append((n_pop, int(rng.integers(0, n_pop + 1)),
+                        int(rng.integers(0, n_pop + 1))))
+    points = benchmark.pedantic(scalar_tails, args=(triples,), rounds=5,
+                                warmup_rounds=1)
+    assert points == 1_058

@@ -37,7 +37,8 @@ def _check_theta(theta) -> np.ndarray:
         raise ValueError("theta must be a square matrix")
     if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise ValueError("theta entries must lie in [0, 1]")
-    if not np.allclose(theta, theta.T, atol=1e-12, rtol=0.0):
+    # The range check has rejected NaN and inf, so no np.allclose is needed.
+    if not (np.abs(theta - theta.T) <= 1e-12).all():
         raise ValueError("theta must be symmetric")
     return theta
 

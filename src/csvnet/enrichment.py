@@ -25,9 +25,6 @@ from .stats import bh_adjust, lower_mid_p, mid_p_family, upper_mid_p
 WITHIN_OVER = "within-over"
 BETWEEN_UNDER = "between-under"
 
-# Mid-p of a point-mass null: no draws or no successes can never reject.
-DEGENERATE_P = 0.5
-
 
 # Kept beside the columns for lookups, and because perfbench/traced.py reads it.
 @dataclass(frozen=True)
@@ -116,8 +113,15 @@ class EnrichmentMatrix:
     def _by_pair(self) -> dict[tuple[int, int], EnrichmentResult]:
         return {(res.r, res.s): res for res in self.results}
 
+    def check_community(self, r: int) -> None:
+        """Raise ValueError unless ``r`` is a community id of this family."""
+        if not 0 <= r < self.q:
+            raise ValueError(f"community id {r} out of range")
+
     def result(self, r: int, s: int) -> EnrichmentResult:
         """Lookup by community pair; undirected between pairs accept either order."""
+        self.check_community(r)
+        self.check_community(s)
         key = (r, s)
         if not self.directed and r > s:
             key = (s, r)
@@ -141,8 +145,9 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
 
     Ordering is deterministic: within tests by community id, then between
     tests lexicographically (undirected keeps r < s; directed keeps both
-    orientations). Tests of a zero-degree community are flagged in the
-    ``degenerate`` column and never reject.
+    orientations). A test of a zero-degree community has a point-mass null
+    and so the engine's mid-p 0.5; the ``degenerate`` column flags it, and it
+    never rejects.
     """
     if partition.n_nodes != graph.n_nodes:
         raise ValueError("partition does not match graph size")
@@ -158,10 +163,8 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
     n_draw, n_succ = links.sum(axis=1)[r], links.sum(axis=0)[s]
     n_total = int(links.sum())  # a Python int: each mean is one rounded division
     n_obs = links[r, s]
-    degenerate = (n_draw == 0) | (n_succ == 0)
-    raw = np.where(degenerate, DEGENERATE_P,
-                   mid_p_family(n_obs, n_total, n_succ, n_draw, r == s))
+    raw = mid_p_family(n_obs, n_total, n_succ, n_draw, r == s)
     mu0 = [a * b / n_total if n_total else 0.0
            for a, b in zip(n_draw.tolist(), n_succ.tolist())]
     return EnrichmentMatrix(q, graph.directed, r, s, n_obs, mu0, raw,
-                            bh_adjust(raw), degenerate)
+                            bh_adjust(raw), (n_draw == 0) | (n_succ == 0))

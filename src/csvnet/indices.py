@@ -64,22 +64,17 @@ def _community_sums(matrix: EnrichmentMatrix, alpha: float) -> tuple[list, list]
     return hits.tolist(), totals.tolist()
 
 
-def _check_community(matrix: EnrichmentMatrix, r: int) -> None:
-    if not 0 <= r < matrix.q:
-        raise ValueError(f"community id {r} out of range")
-
-
 def ucv(matrix: EnrichmentMatrix, r: int, alpha: float) -> float:
     """Single-community validation: rejected fraction of the q tests on r."""
     alpha = _check_alpha(alpha)
-    _check_community(matrix, r)
+    matrix.check_community(r)
     return _community_sums(matrix, alpha)[0][r] / matrix.q
 
 
 def wcv(matrix: EnrichmentMatrix, r: int, alpha: float) -> float:
     """Weighted single-community validation index."""
     alpha = _check_alpha(alpha)
-    _check_community(matrix, r)
+    matrix.check_community(r)
     return _community_sums(matrix, alpha)[1][r] / matrix.q
 
 

@@ -1,13 +1,14 @@
 """Exact hypergeometric distribution, one-tailed mid-p-values, and the
 Benjamini-Hochberg step-up adjustment.
 
-Every pmf comes from one engine, a block walk that takes a whole family of
-parameter triples at once: :func:`mid_p_family` reads its blocks directly,
-and :func:`support_pmfs` hands them out one triple at a time. Rows are
-grouped into blocks of at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS``
-log-weights, and each row walks its support from the low end with the
-term-ratio recurrence in log space: a sequential cumsum of
-log pmf(x+1) / pmf(x). There is no per-triple cache; a
+Every pmf comes from one engine, a block walk over a whole family of
+parameter triples, and every mid-p from one reader of its pmf rows:
+:func:`mid_p_family` reads the blocks as they stop, :func:`support_pmfs`
+hands them out one triple at a time, and the scalar tails read the row of
+one triple's whole support. Rows are grouped into blocks of at most
+``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS`` log-weights, and each row walks
+its support from the low end with the term-ratio recurrence in log space: a
+sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache; a
 :class:`HypergeomParams` object keeps the pmf of its own triple.
 
 Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
@@ -100,36 +101,54 @@ def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     and every later entry is exactly zero."""
     N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
     lo, hi = _supports(N, K, n)
-    size = hi - lo + 1
     # First window: mean plus 40 standard deviations, grown by doubling
     # where the tail is heavier than that. Rows are sorted by it so that a
     # block holds windows of similar width. (N < 2 has a one-point support.)
     Nf, Kf, nf = np.maximum(N, 2).astype(np.float64), K.astype(np.float64), n.astype(np.float64)
     mean = nf * Kf / Nf
     sd = np.sqrt(mean * (Nf - Kf) / Nf * (Nf - nf) / (Nf - 1.0))
-    guess = np.minimum(np.ceil(mean + 40.0 * sd).astype(np.int64) - lo + 64, size)
+    sizes = hi - lo + 1
+    guess = np.minimum(np.ceil(mean + 40.0 * sd).astype(np.int64) - lo + 64, sizes)
     order = np.argsort(guess, kind="stable")
-    guess, size = guess[order], size[order]
-    # Float columns for the walk; see _extend.
-    lo, K, n, c = (a[order].astype(np.float64)[:, None] for a in (lo, K, n, N - K - n))
+    guess, sizes = guess[order], sizes[order]
+    # The walk's float columns lo, K, n and N - K - n, stacked; see _extend.
+    params = np.stack((lo, K, n, N - K - n))[:, order, None].astype(np.float64)
     total, start = order.size, 0
     while start < total:
         width = int(guess[min(start + _BLOCK_ROWS, total) - 1])
         stop = min(start + max(1, min(_BLOCK_ROWS, _BLOCK_ELEMS // width)), total)
-        block = slice(start, stop)
-        yield from _block_pmfs(order[block], lo[block], size[block], K[block],
-                               n[block], c[block], width)
+        idx, size, cols = order[start:stop], sizes[start:stop], params[:, start:stop]
         start = stop
+        logw = _extend(np.zeros((idx.size, 1)), cols, width)
+        while True:
+            done = size <= width
+            if not done.all():
+                # Log-weights rise to the mode and fall after it, so a last
+                # entry _CUT below the maximum is past the mode, as is every
+                # later entry, each lower still: exp() gives exactly 0.0.
+                done |= logw[:, -1] < logw.max(axis=1) - _CUT
+            part = logw[done]
+            part[np.arange(width) >= size[done][:, None]] = -np.inf
+            weights = np.exp(part - part.max(axis=1)[:, None])
+            weights /= np.cumsum(weights, axis=1)[:, -1:]
+            yield idx[done], size[done], weights
+            if done.all():
+                break
+            keep = ~done
+            idx, size, cols = idx[keep], size[keep], cols[:, keep]
+            width = int(min(2 * width, size.max()))
+            logw = _extend(logw[keep], cols, width)
 
 
-def _extend(logw: np.ndarray, lo, K, n, c, width: int) -> np.ndarray:
+def _extend(logw: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     """Continue each row's log-weights to ``width`` columns with the term
     ratios pmf(x+1) / pmf(x), carrying the sequential cumsum across the cut.
 
-    ``lo``, ``K``, ``n`` and ``c`` = N - K - n are float64 columns; each holds
-    an integer below 2**53, so it is the same float the scalar formula
+    ``cols`` stacks the float64 columns lo, K, n and c = N - K - n; each
+    holds an integer below 2**53, so it is the same float the scalar formula
     ``K - x`` converts it to.
     """
+    lo, K, n, c = cols
     xs = lo + np.arange(logw.shape[1] - 1, width - 1, dtype=np.float64)
     # Past the support end the ratios turn -inf or nan; a sequential cumsum
     # carries those only forward, and those columns are masked later.
@@ -139,36 +158,18 @@ def _extend(logw: np.ndarray, lo, K, n, c, width: int) -> np.ndarray:
     return np.concatenate((logw, tail[:, 1:]), axis=1)
 
 
-def _block_pmfs(idx, lo, size, K, n, c, width: int):
-    """Walk one block of rows, ``width`` columns at first, and yield
-    ``(idx, size, pmfs)`` for each set of rows as soon as they have stopped."""
-    logw = _extend(np.zeros((idx.size, 1)), lo, K, n, c, width)
-    while True:
-        done = size <= width
-        if not done.all():
-            # Log-weights rise to the mode and fall after it, so a last entry
-            # _CUT below the maximum is past the mode, and every later entry
-            # is lower still: exp() would return exactly 0.0 for all of them.
-            done |= logw[:, -1] < logw.max(axis=1) - _CUT
-        part = logw[done]
-        part[np.arange(width) >= size[done][:, None]] = -np.inf
-        weights = np.exp(part - part.max(axis=1)[:, None])
-        weights /= np.cumsum(weights, axis=1)[:, -1:]
-        yield idx[done], size[done], weights
-        if done.all():
-            return
-        keep = ~done
-        idx, lo, size, K, n, c = (a[keep] for a in (idx, lo, size, K, n, c))
-        width = int(min(2 * width, size.max()))
-        logw = _extend(logw[keep], lo, K, n, c, width)
-
-
-def _tail(pmf: np.ndarray, j: int, upper: bool) -> float:
-    """Mid-p of the point ``j`` of a unit-normalized pmf, with the requested
-    side as a running sum: downward from the support's end, or upward from
-    its low end."""
-    side = np.cumsum(np.append(0.0, pmf[:j:-1] if upper else pmf[:j]))[-1]
-    return min(0.5 * float(pmf[j]) + float(side), 1.0)
+def _read_mid_p(pmfs: np.ndarray, row, at, upper) -> np.ndarray:
+    """Mid-p of point ``at`` of pmf row ``row`` (broadcast), with the requested
+    side as a running sum; a point past the row reads 0. below[:, k] adds the
+    first k entries upward, above[:, k] the last k downward from the row's end."""
+    width = pmfs.shape[1]
+    zero = np.zeros((pmfs.shape[0], 1))
+    below = np.cumsum(np.hstack((zero, pmfs)), axis=1)
+    above = np.cumsum(np.hstack((zero, pmfs[:, ::-1])), axis=1)
+    point = np.where(at < width, pmfs[row, np.minimum(at, width - 1)], 0.0)
+    side = np.where(upper, above[row, np.maximum(width - 1 - at, 0)],
+                    below[row, np.minimum(at, width)])
+    return np.minimum(0.5 * point + side, 1.0)
 
 
 def mid_p_family(x, N, K, n, upper) -> np.ndarray:
@@ -196,17 +197,7 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
         row = np.repeat(np.arange(idx.size), per)
         tests = by_triple[np.repeat(first[idx] - (np.cumsum(per) - per), per)
                           + np.arange(row.size)]
-        at, up = j[tests], upper[tests]
-        # Running sums with a leading 0: below[:, k] adds the first k entries
-        # upward, above[:, k] the last k downward from the window's end.
-        width = pmfs.shape[1]
-        zero = np.zeros((idx.size, 1))
-        below = np.cumsum(np.hstack((zero, pmfs)), axis=1)
-        above = np.cumsum(np.hstack((zero, pmfs[:, ::-1])), axis=1)
-        point = np.where(at < width, pmfs[row, np.minimum(at, width - 1)], 0.0)
-        side = np.where(up, above[row, np.maximum(width - 1 - at, 0)],
-                        below[row, np.minimum(at, width)])
-        out[tests] = np.minimum(0.5 * point + side, 1.0)
+        out[tests] = _read_mid_p(pmfs, row, j[tests], upper[tests])
     return out.reshape(shape)
 
 
@@ -220,7 +211,7 @@ def _mid_p(x_obs: int, params: HypergeomParams, upper: bool) -> float:
     lo, hi = params.support
     if not lo <= x_obs <= hi:
         return float(upper == (x_obs < lo))
-    return _tail(params.pmf, x_obs - lo, upper)
+    return float(_read_mid_p(params.pmf[None], 0, x_obs - lo, upper))
 
 
 def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:

@@ -122,6 +122,18 @@ def block_link_counts(graph: Graph, assignment, q: int
     return links, outs, ins
 
 
+def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
+    """Undirected graph on labels n0.. with min(m_target, n(n-1)/2) distinct
+    edges, drawn one endpoint pair at a time and stored in sorted order."""
+    pairs = set()
+    m_target = min(m_target, n * (n - 1) // 2)
+    while len(pairs) < m_target:
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return Graph(tuple(f"n{i}" for i in range(n)), sorted(pairs))
+
+
 def random_params(rng: np.random.Generator, n_max: int = 60) -> HypergeomParams:
     N = int(rng.integers(0, n_max + 1))
     K = int(rng.integers(0, N + 1))

@@ -1,6 +1,6 @@
 """The package's public surface: exported names, test-like names, unused
-imports, the module bindings that the benchmark's tracer wraps, and the
-pytest-benchmark files that time it."""
+imports, unread private names, the module bindings that the benchmark's
+tracer wraps, and the pytest-benchmark files that time it."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,40 @@ def test_no_unused_imports():
              for name in sorted(unused_imports(path))
              if (path.stem, name) not in traced]
     assert found == []
+
+
+def unread_private_names(paths: list[Path]) -> list[str]:
+    """``module.name`` of each ``_``-prefixed top-level function, class or
+    constant that no code in ``paths`` reads outside its own definition."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+    def reads(node: ast.AST) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                or isinstance(n, ast.Attribute)]
+
+    everywhere = Counter(name for tree in trees.values() for name in reads(tree))
+    found = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and everywhere[name] == reads(node).count(name)):
+                    found.append(f"{stem}.{name}")
+    return found
+
+
+def test_no_unread_private_names():
+    # A private helper that nothing reads is dead code left by a refactor.
+    paths = sorted(Path(csvnet.__file__).parent.glob("*.py"))
+    assert unread_private_names(paths) == []
 
 
 def test_benchmark_files_run():

@@ -24,22 +24,11 @@ from csvnet.clustering import (
     to_newick,
 )
 from csvnet.graph import Graph, Partition
-from oracles import linkage_reference, recursive_from_newick
+from oracles import linkage_reference, random_graph, recursive_from_newick
 
 
 def make_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     return Graph(tuple(f"n{i}" for i in range(n)), np.array(edges, dtype=np.int64))
-
-
-def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
-    m_target = min(m_target, n * (n - 1) // 2)
-    seen: set[tuple[int, int]] = set()
-    while len(seen) < m_target:
-        u, v = rng.integers(0, n, size=2)
-        if u == v:
-            continue
-        seen.add((min(u, v), max(u, v)))
-    return make_graph(n, sorted(seen))
 
 
 def two_cliques(k: int) -> Graph:

@@ -181,6 +181,18 @@ def test_sample_graph_rejects_bad_theta(theta, match):
         sample_graph(np.array([0, 0, 1]), theta, np.ones(3), seed=0)
 
 
+def test_theta_symmetry_tolerance_is_1e_12():
+    # 2**-40 < 1e-12 < 2**-39; both differences are exact at 0.25.
+    def theta(gap: float) -> np.ndarray:
+        return np.array([[0.5, 0.25], [0.25 + gap, 0.5]])
+    sample_graph(np.array([0, 0, 1]), theta(2.0**-40), np.ones(3), seed=0)
+    DcsbmConfig((2, 1), theta(2.0**-40), np.ones(3))
+    with pytest.raises(ValueError, match="symmetric"):
+        sample_graph(np.array([0, 0, 1]), theta(2.0**-39), np.ones(3), seed=0)
+    with pytest.raises(ValueError, match="symmetric"):
+        DcsbmConfig((2, 1), theta(2.0**-39), np.ones(3))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_sample_graph_rejects_nonpositive_weights(bad):
     with pytest.raises(ValueError, match="positive"):

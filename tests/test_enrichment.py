@@ -13,6 +13,7 @@ from oracles import (
     exact_lower_mid_p,
     exact_pmf,
     exact_upper_mid_p,
+    random_graph,
 )
 
 import csvnet.enrichment as enr
@@ -30,16 +31,6 @@ def two_triangles() -> tuple[Graph, Partition]:
     g = Graph(tuple("abcdef"),
               [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     return g, Partition(np.array([0, 0, 0, 1, 1, 1]), 2)
-
-
-def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
-    pairs = set()
-    m_target = min(m_target, n * (n - 1) // 2)
-    while len(pairs) < m_target:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    return Graph(tuple(f"n{i}" for i in range(n)), sorted(pairs))
 
 
 def orient_randomly(rng: np.random.Generator, g: Graph) -> Graph:
@@ -279,6 +270,14 @@ def test_result_lookup_and_validation():
         EnrichmentResult(0, 1, BETWEEN_UNDER, 0, 0.0, 0.5, adj_p=0.1)
 
 
+def test_result_rejects_out_of_range_community():
+    g, p = two_triangles()
+    m = enrichment_matrix(g, p)
+    for r, s, bad in [(5, 0, 5), (0, 2, 2), (-1, 0, -1), (1, -1, -1)]:
+        with pytest.raises(ValueError, match=f"community id {bad} out of range"):
+            m.result(r, s)
+
+
 def test_matrix_columns_and_lookup():
     rng = np.random.default_rng(15)
     g = random_graph(rng, 30, 70)
@@ -293,7 +292,7 @@ def test_matrix_columns_and_lookup():
                 res = m.result(r, s)
                 expect = (r, s) if graph.directed or r <= s else (s, r)
                 assert (res.r, res.s) == expect
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="community id 5 out of range"):
             m.result(0, 5)
         assert np.array_equal(m.rejected(0.05),
                               [res.rejected(0.05) for res in m.results])

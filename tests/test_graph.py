@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import block_link_counts, line_loop_load_graph
+from oracles import block_link_counts, line_loop_load_graph, random_graph
 
 from csvnet import graph as graph_module
 from csvnet.graph import (
@@ -34,17 +34,6 @@ def path3_of(a: str, b: str, c: str) -> Graph:
 
 def path3() -> Graph:
     return path3_of("a", "b", "c")
-
-
-def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
-    pairs = set()
-    m_target = min(m_target, n * (n - 1) // 2)
-    while len(pairs) < m_target:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    labels = tuple(f"n{i}" for i in range(n))
-    return Graph(labels, sorted(pairs))
 
 
 # --- construction ------------------------------------------------------------
