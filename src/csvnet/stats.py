@@ -15,9 +15,19 @@ Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
 row stops once it is past its mode and more than ``_CUT`` = 750 nats below
 its maximum: past the mode every ratio is negative, every later log-weight
 is lower still, and a walk over the whole support would turn each of them
-into 0.0. The window starts at mean + 40 sd and doubles until the row stops.
-On a 200k-edge graph with 200 communities that is a few hundred entries of
-supports about 2,000 long.
+into 0.0. A row that only lower tails read also stops once it holds its
+reach, the largest point they read, and is more than ``_SUM_CUT`` = 40 nats
+below its maximum. Past the mode the running normalizer already holds the
+maximum weight 1.0, so half its ulp is at least 2**-53 ~ 1.1e-16, while
+every later weight is below e**-40 ~ 4.2e-18: each addition rounds back to
+the same float, so the normalizer and every pmf entry are unchanged, and a
+lower tail at x reads no entry past x. Only :func:`mid_p_family` knows
+which tails read a row; :func:`support_pmfs`, and with it
+:attr:`HypergeomParams.pmf`, keep the 750-nat rule alone. The window starts
+at mean + 40 sd (6 sd for a lower-only row) and doubles until the row
+stops. On the validate benchmark's input, 200 communities on a 200k-edge
+graph with supports about 1,900 long, the 125 rows that upper tails read end
+404-410 entries wide and the 10,380 lower-only rows 56-202 (median 58).
 
 Bit-identity with the whole-support walk. A sequential cumsum's prefix never
 depends on later entries, and the walk continues across a window edge as
@@ -25,9 +35,10 @@ depends on later entries, and the walk continues across a window edge as
 each exp() are the same floats as over the whole support. Every sum is a
 running sum too: the normalizer is the last entry of the row's cumsum, a
 lower tail sums upward from the support's low end, and an upper tail sums
-downward from the window's end. Past the window the whole support holds only
-zeros, which add exactly nothing to a running sum, so each sum is the same
-float as the whole-support cumsum; a point past the window reads 0.
+downward from the window's end. Past a 750-nat window the whole support
+holds only zeros, which add exactly nothing to a running sum, and past a
+40-nat window only weights that round away, so each sum a test reads is the
+same float as the whole-support cumsum; a point past the window reads 0.
 
 Tail sums always accumulate the requested side directly from the pmf, so
 deep tails keep full relative precision instead of collapsing into
@@ -45,6 +56,9 @@ import numpy as np
 # float64 exp() returns exactly 0.0 below -745.13, so a log-weight more than
 # this far below its row maximum adds nothing to any pmf.
 _CUT = 750.0
+# A weight more than this many nats below its row maximum is below e**-40,
+# under half an ulp of a running sum of at least 1.0, which it leaves as is.
+_SUM_CUT = 40.0
 # A block of rows holds at most this many log-weights per array.
 _BLOCK_ROWS = 256
 _BLOCK_ELEMS = 1 << 20
@@ -94,23 +108,31 @@ def support_pmfs(N, K, n) -> Iterator[tuple[int, np.ndarray]]:
             yield i, pmf
 
 
-def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pmf_blocks(N, K, n, reach=None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(idx, size, pmfs)`` for each set of parameter triples of the
     broadcast arrays that stop together: triple ``idx[k]`` has support length
-    ``size[k]``, row ``k`` of ``pmfs`` holds the first entries of its pmf,
-    and every later entry is exactly zero."""
+    ``size[k]``, and row ``k`` of ``pmfs`` holds the first entries of its pmf.
+
+    Without ``reach`` every later entry is exactly zero. Where ``reach``
+    gives a triple's last pmf index that will be read, its row may stop
+    sooner: every entry up to that index, and the normalizer, are still the
+    same floats, but later entries may be missing."""
     N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
     lo, hi = _supports(N, K, n)
-    # First window: mean plus 40 standard deviations, grown by doubling
-    # where the tail is heavier than that. Rows are sorted by it so that a
-    # block holds windows of similar width. (N < 2 has a one-point support.)
+    sizes = hi - lo + 1
+    reach = sizes - 1 if reach is None else np.asarray(reach, dtype=np.int64)
+    # First window: mean plus 40 standard deviations and 64 entries, or 6
+    # sd (18 nats on a normal curve) for a row that may stop _SUM_CUT down,
+    # grown by doubling where the tail is heavier than that. Rows are sorted
+    # by it so that a block holds windows of similar width. (N < 2 has a
+    # one-point support.)
     Nf, Kf, nf = np.maximum(N, 2).astype(np.float64), K.astype(np.float64), n.astype(np.float64)
     mean = nf * Kf / Nf
     sd = np.sqrt(mean * (Nf - Kf) / Nf * (Nf - nf) / (Nf - 1.0))
-    sizes = hi - lo + 1
-    guess = np.minimum(np.ceil(mean + 40.0 * sd).astype(np.int64) - lo + 64, sizes)
+    first = np.where(reach < sizes - 1, mean + 6.0 * sd + 1.0, mean + 40.0 * sd + 64.0)
+    guess = np.minimum(np.ceil(first).astype(np.int64) - lo, sizes)
     order = np.argsort(guess, kind="stable")
-    guess, sizes = guess[order], sizes[order]
+    guess, sizes, reach = guess[order], sizes[order], reach[order]
     # The walk's float columns lo, K, n and N - K - n, stacked; see _extend.
     params = np.stack((lo, K, n, N - K - n))[:, order, None].astype(np.float64)
     total, start = order.size, 0
@@ -118,6 +140,7 @@ def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         width = int(guess[min(start + _BLOCK_ROWS, total) - 1])
         stop = min(start + max(1, min(_BLOCK_ROWS, _BLOCK_ELEMS // width)), total)
         idx, size, cols = order[start:stop], sizes[start:stop], params[:, start:stop]
+        read_to = reach[start:stop]
         start = stop
         logw = _extend(np.zeros((idx.size, 1)), cols, width)
         while True:
@@ -126,7 +149,10 @@ def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
                 # Log-weights rise to the mode and fall after it, so a last
                 # entry _CUT below the maximum is past the mode, as is every
                 # later entry, each lower still: exp() gives exactly 0.0.
-                done |= logw[:, -1] < logw.max(axis=1) - _CUT
+                # A row that holds its reach may stop _SUM_CUT below.
+                top = logw.max(axis=1)
+                done |= (logw[:, -1] < top - _CUT) | (
+                    (read_to < width) & (logw[:, -1] < top - _SUM_CUT))
             part = logw[done]
             part[np.arange(width) >= size[done][:, None]] = -np.inf
             weights = np.exp(part - part.max(axis=1)[:, None])
@@ -135,7 +161,7 @@ def _pmf_blocks(N, K, n) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
             if done.all():
                 break
             keep = ~done
-            idx, size, cols = idx[keep], size[keep], cols[:, keep]
+            idx, size, read_to, cols = idx[keep], size[keep], read_to[keep], cols[:, keep]
             width = int(min(2 * width, size.max()))
             logw = _extend(logw[keep], cols, width)
 
@@ -158,17 +184,20 @@ def _extend(logw: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((logw, tail[:, 1:]), axis=1)
 
 
-def _read_mid_p(pmfs: np.ndarray, row, at, upper) -> np.ndarray:
-    """Mid-p of point ``at`` of pmf row ``row`` (broadcast), with the requested
-    side as a running sum; a point past the row reads 0. below[:, k] adds the
-    first k entries upward, above[:, k] the last k downward from the row's end."""
+def _read_mid_p(pmfs: np.ndarray, row, at, upper: bool) -> np.ndarray:
+    """Mid-p of point ``at`` of pmf row ``row`` (broadcast) on one side, the
+    upper if ``upper`` is true, with that side as a running sum; a point past
+    the row reads 0. The lower side's run[:, k] adds the first k entries
+    upward, the upper side's the last k downward from the row's end."""
     width = pmfs.shape[1]
-    zero = np.zeros((pmfs.shape[0], 1))
-    below = np.cumsum(np.hstack((zero, pmfs)), axis=1)
-    above = np.cumsum(np.hstack((zero, pmfs[:, ::-1])), axis=1)
     point = np.where(at < width, pmfs[row, np.minimum(at, width - 1)], 0.0)
-    side = np.where(upper, above[row, np.maximum(width - 1 - at, 0)],
-                    below[row, np.minimum(at, width)])
+    run = np.zeros((pmfs.shape[0], width + 1))
+    if upper:
+        np.cumsum(pmfs[:, ::-1], axis=1, out=run[:, 1:])
+        side = run[row, np.maximum(width - 1 - at, 0)]
+    else:
+        np.cumsum(pmfs, axis=1, out=run[:, 1:])
+        side = run[row, np.minimum(at, width)]
     return np.minimum(0.5 * point + side, 1.0)
 
 
@@ -191,13 +220,20 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     first = np.flatnonzero(np.diff(triple, axis=1, prepend=-1).any(axis=0))
     count = np.diff(first, append=by_triple.size)
     j = x - lo
-    for idx, _, pmfs in _pmf_blocks(*triple[:, first]):
+    # A triple's row is read up to its largest lower-tail point, or whole
+    # if an upper tail reads it (x <= hi, so hi - lo is then the largest).
+    read = np.where(upper, hi - lo, j)[by_triple]
+    reach = np.maximum.reduceat(read, first)
+    for idx, _, pmfs in _pmf_blocks(*triple[:, first], reach):
         # The tests of these triples, and the pmf row of each.
         per = count[idx]
         row = np.repeat(np.arange(idx.size), per)
         tests = by_triple[np.repeat(first[idx] - (np.cumsum(per) - per), per)
                           + np.arange(row.size)]
-        out[tests] = _read_mid_p(pmfs, row, j[tests], upper[tests])
+        up = upper[tests]
+        for side, sel in ((True, up), (False, ~up)):
+            if sel.any():
+                out[tests[sel]] = _read_mid_p(pmfs, row[sel], j[tests[sel]], side)
     return out.reshape(shape)
 
 

@@ -24,6 +24,7 @@ from oracles import (
     random_params,
 )
 
+from csvnet import stats
 from csvnet.stats import (
     HypergeomParams,
     bh_adjust,
@@ -241,25 +242,30 @@ def test_family_bit_identical_giant_community():
     assert_family_matches(np.full(3, n_total), d[[0, 1, 1]], d[[0, 1, 0]])
 
 
-def test_family_bit_identical_at_the_validate_benchmark_shape():
-    # The validate benchmark's shape: q = 200 planted communities of 100
-    # nodes, about 200k edges, 20,100 tests, built as in
-    # benchmarks/test_bench_family.py. Many triples are shared by two tests
-    # or more, blocks mix supports of many lengths, and each row is padded
-    # from a window of a few hundred columns to a support about 2,000 long.
+def validate_family():
+    """(x, N, K, n, upper) of the validate benchmark's family: q = 200
+    planted communities of 100 nodes, about 200k edges and 20,100 tests,
+    built as in benchmarks/test_bench_family.py."""
     q, v, m = 200, 20_000, 200_000
     rng = np.random.default_rng([5, q])
     block = np.arange(v) // 100
     u = rng.integers(0, v, size=m)
-    w = np.where(rng.random(m) < 0.7, block[u] * 100 + rng.integers(0, 100, size=m),
-                 rng.integers(0, v, size=m))
+    inside = block[u] * 100 + rng.integers(0, 100, size=m)
+    w = np.where(rng.random(m) < 0.7, inside, rng.integers(0, v, size=m))
     keep = u != w
     edges = np.unique(np.sort(np.stack([u[keep], w[keep]], axis=1), axis=1), axis=0)
     stubs = np.bincount(block[edges.ravel()], minlength=q)
     links = np.bincount(block[edges[:, 0]] * q + block[edges[:, 1]], minlength=q * q)
     links = links.reshape(q, q) + links.reshape(q, q).T
     r, s = np.triu_indices(q)
-    N, K, n, x, upper = 2 * len(edges), stubs[s], stubs[r], links[r, s], r == s
+    return links[r, s], 2 * len(edges), stubs[s], stubs[r], r == s
+
+
+def test_family_bit_identical_at_the_validate_benchmark_shape():
+    # Many triples are shared by two tests or more, blocks mix supports of
+    # many lengths, and each row is padded from a window of a few dozen or a
+    # few hundred columns to a support about 1,900 long.
+    x, N, K, n, upper = validate_family()
     got = mid_p_family(x, N, K, n, upper)
     assert got.size == 20_100
     tests: dict[tuple, list[int]] = {}
@@ -301,6 +307,103 @@ def test_mid_p_alone_equals_mid_p_in_a_wide_family(target, x, upper, wide, at):
     N, K, n, xs, ups = map(np.array, zip(*tests))
     alone = mid_p_family(x, *target, upper)
     assert mid_p_family(xs, N, K, n, ups)[at] == alone
+
+
+# --- lower-only rows ---------------------------------------------------------
+# A row that only lower tails read stops once it holds its reach, the largest
+# point they read, and is _SUM_CUT = 40 nats below its maximum. Each test
+# checks the family against the whole-support walk.
+
+# N = 10^6, K = n = 3,000: mean 9 and mode 9 on a support of 3,001 points;
+# 40 nats below the maximum at 47, exp() underflows from 287 on.
+N3K, K3K = 1_000_000, 3_000
+
+
+def walked(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Record each call of the walk's ``_extend``: its input width and the
+    log-weights it returns."""
+    calls = []
+    extend = stats._extend
+
+    def record(logw, cols, width):
+        out = extend(logw, cols, width)
+        calls.append((logw.shape[1], out))
+        return out
+
+    monkeypatch.setattr(stats, "_extend", record)
+    return calls
+
+
+def test_one_triple_read_by_both_tails():
+    # The upper test keeps the whole 750-nat window of the row it shares with
+    # the lower tests: a row cut 40 nats past the upper test's point would
+    # leave out the small weights its downward running sum starts from.
+    xs = [0, 5, 9, 13]
+    lower = full_support_mid_p(xs, N3K, K3K, K3K, False)
+    for x in range(0, 130, 3):
+        got = mid_p_family([x, *xs], N3K, K3K, K3K, [True] + [False] * len(xs))
+        assert got.tolist() == full_support_mid_p([x], N3K, K3K, K3K, True) + lower, x
+
+
+def test_lower_tests_around_the_cuts(monkeypatch):
+    pmf = full_support_pmf(N3K, K3K, K3K)
+    with np.errstate(divide="ignore"):
+        nats = np.log(pmf.max()) - np.log(pmf)
+    calls = walked(monkeypatch)
+    ends = []
+    # Just past the mode, between the 40- and 750-nat points, and past the
+    # 750-nat window, where the point reads 0; each set alone sets the reach.
+    for xs, zone in (([10, 11, 13], nats < 40), ([50, 120], (nats > 40) & (nats < 750)),
+                     ([300, 2_000], pmf == 0)):
+        assert zone[xs].all()
+        calls.clear()
+        got = mid_p_family(xs, N3K, K3K, K3K, False)
+        assert got.tolist() == full_support_mid_p(xs, N3K, K3K, K3K, False), xs
+        ends.append(calls[-1][1].shape[1])
+    # Near the mode the row stops at the sum cut, long before exp()
+    # underflows; the deepest point lies past the end of its row.
+    assert ends[0] < np.argmax(pmf == 0) and ends[2] <= 2_000
+
+
+def test_lower_only_row_whose_reach_forces_the_window_to_double(monkeypatch):
+    calls = walked(monkeypatch)
+    mid_p_family(9, N3K, K3K, K3K, False)
+    alone = calls[-1][1].shape[1]
+    # A second lower test one past the end of that row keeps it growing.
+    calls.clear()
+    xs = [9, alone]
+    got = mid_p_family(xs, N3K, K3K, K3K, False)
+    assert calls[-1][1].shape[1] > alone
+    assert got.tolist() == full_support_mid_p(xs, N3K, K3K, K3K, False)
+
+
+def test_lower_only_rows_that_grow_past_the_sum_cut(monkeypatch):
+    # Means from 0.01 to 2,000 on N = 10^6, each tested at 0 and at its
+    # mean. On some rows a window ends 30-40 nats below the maximum, where
+    # weights above e**-40 still change the normalizer: those rows must grow
+    # once more, or every entry of theirs loses its last bits.
+    K = np.sqrt(np.geomspace(0.01, 2_000, 400) * 1e6).astype(np.int64)
+    x = np.concatenate((np.zeros_like(K), K * K // 1_000_000))
+    calls = walked(monkeypatch)
+    got = mid_p_family(x, 1_000_000, np.tile(K, 2), np.tile(K, 2), False)
+    band = 0
+    for _, out in calls:
+        drop = out.max(axis=1) - out[:, -1]
+        band += ((drop > 30) & (drop < 40)).sum()
+    assert band > 0
+    for k, (x0, xm) in enumerate(zip(x[:400].tolist(), x[400:].tolist())):
+        expect = full_support_mid_p([x0, xm], 1_000_000, int(K[k]), int(K[k]), False)
+        assert [got[k], got[400 + k]] == expect, K[k]
+
+
+def test_family_work_at_the_validate_shape(monkeypatch):
+    # The lower-only rows of the 20,100 tests stop near their 40-nat point,
+    # a few dozen entries out, not their 750-nat point, about 400 out: the
+    # walk computes about 670,000 log-weights, against 4.1 million when
+    # every row went on to its 750-nat point.
+    calls = walked(monkeypatch)
+    mid_p_family(*validate_family())
+    assert sum(out.shape[0] * (out.shape[1] - before) for before, out in calls) < 1_000_000
 
 
 def test_family_shapes_and_validation():
