@@ -139,9 +139,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = _unique_names(args.graphs)
     for name in names:
         check_newick_label(name)
+    workers = _workers(args.threads)
     graphs = [(name, load_graph(path)) for name, path in zip(names, args.graphs)]
     result = compare_all(graphs, alpha=args.alpha, min_size=args.min_size,
-                         seed=args.seed, use_wcsv=args.wcsv)
+                         seed=args.seed, use_wcsv=args.wcsv, workers=workers)
     failures = [p for p in result.per_pair if p.error is not None]
     if len(failures) == len(result.per_pair):
         for pair in failures:
@@ -274,13 +275,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params["v"] = params["v"][0]
     # Looked up per call: perfbench/traced.py rebinds this module's run_sim3.
     run = {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}[args.sim]
-    rows = run(**params)
+    rows = run(**params, workers=_workers(args.threads))
     _write_text(args.out, rows_to_tsv(rows))
     return 0
 
 
-_THREADS_HELP = ("ignored: work runs on one thread; kept so existing scripts "
-                 "still parse, and will be removed")
+def _workers(threads: int | None) -> int:
+    """--threads as a worker count, clamped to the CPUs this process may use."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if threads is None:
+        return cpus
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    return min(threads, cpus)
+
+
+_THREADS_HELP = ("forked worker processes (default and cap: the CPUs this process may "
+                 "run on); 1, or a platform without fork, runs in-process. Output "
+                 "bytes are the same at any count; CSVNET_THREADS is ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,9 @@
 Each graph pair is reduced to its common nodes, partitioned with Louvain,
 filtered to communities above a minimum size, and cross-scored: R holds the
 relative indices, S = (R + Rᵀ)/2, and D = 1 − S feeds complete linkage.
-Per-pair random streams are derived from the graph names, so results do not
-depend on input order.
+Per-pair random streams are derived from the graph names, so results depend
+neither on input order nor on the number of forked ``workers`` (default 1,
+in-process) that run the pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import pool_map
 from ._rng import derive_rng
 from .clustering import Dendrogram, DistanceMatrix, complete_linkage, louvain
 from .graph import Graph, Partition, fmt_float, induced_subgraph
@@ -159,7 +161,7 @@ def compare_pair(g1: Graph, g2: Graph, alpha: float = 0.05, min_size: int = 5,
 
 
 def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
-                use_wcsv: bool = False) -> ComparisonResult:
+                use_wcsv: bool = False, *, workers: int = 1) -> ComparisonResult:
     """Pairwise relative indices for named graphs, plus S and D matrices.
 
     Pair failures (no common nodes, no surviving communities, edgeless
@@ -176,7 +178,8 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
     _check_min_size(min_size)
     n = len(items)
 
-    def one_pair(i: int, j: int) -> PairComparison:
+    def one_pair(pair: tuple[int, int]) -> PairComparison:
+        i, j = pair
         name_i, g_i = items[i]
         name_j, g_j = items[j]
         try:
@@ -187,7 +190,7 @@ def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,
                                   False, 0.0, 0.0, 0, 0, error=str(exc))
 
     index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    details = [one_pair(i, j) for i, j in index_pairs]
+    details = pool_map(one_pair, index_pairs, workers)
     r = np.eye(n)
     defined = np.eye(n, dtype=bool)
     for (i, j), detail in zip(index_pairs, details):

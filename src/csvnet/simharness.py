@@ -5,7 +5,8 @@ partition across a between-block rate grid, study 2 scores a fixed
 reference partition on graphs regenerated from degraded block labels, and
 study 3 scores detection algorithms. One loop runs and scores every study;
 each cell draws from its own seed, ``derive_seed(seed, sim_no, *indices,
-rep)``, and rows are sorted by cell key, so the loop order never shows.
+rep)``, and rows are sorted by cell key, so neither the loop order nor the
+number of forked ``workers`` that run the cells (default 1, in-process) shows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from ._pool import pool_map
 from ._rng import derive_rng, derive_seed
 from .clustering import fast_greedy, louvain, modularity
 from .dcsbm import (
@@ -60,7 +62,8 @@ class SimResultRow:
                 self.algorithm, self.replicate)
 
 
-def _study(sim_no: int, seed, axes, replicates: int, alpha, cell) -> list[SimResultRow]:
+def _study(sim_no: int, seed, axes, replicates: int, alpha, cell,
+           workers: int) -> list[SimResultRow]:
     """Sorted rows over the grid of axis lengths ``axes`` and the replicates.
 
     ``cell(cell_seed, *indices, rep)`` gives ``(v, theta_between,
@@ -71,17 +74,22 @@ def _study(sim_no: int, seed, axes, replicates: int, alpha, cell) -> list[SimRes
     alpha = _check_alpha(alpha)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    rows = []
-    for key in product(*map(range, axes), range(replicates)):
+
+    def cell_rows(key: tuple[int, ...]) -> list[SimResultRow]:
         cell_seed = derive_seed(seed, sim_no, *key)
         v, theta_rs, q_frac, graph, reference, partitions = cell(cell_seed, *key)
         q = modularity(graph, reference) if graph.n_edges else 0.0
+        rows = []
         for algorithm, partition in partitions.items():
             report = csv_report(graph, partition(), alpha=alpha) if graph.n_edges else None
             scores = (report.ucsv, report.wcsv) if report else (0.0, 0.0)
             rows.append(SimResultRow(f"sim{sim_no}", key[-1], v, theta_rs, q_frac,
                                      algorithm, q, *scores, cell_seed))
-    return sorted(rows, key=SimResultRow.sort_key)
+        return rows
+
+    keys = product(*map(range, axes), range(replicates))
+    return sorted((row for rows in pool_map(cell_rows, keys, workers) for row in rows),
+                  key=SimResultRow.sort_key)
 
 
 def _check_distinct(values: list, what: str) -> list:
@@ -103,7 +111,7 @@ def _check_rates(values, what: str) -> list[float]:
 
 def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
-             alpha: float = 0.05) -> list[SimResultRow]:
+             alpha: float = 0.05, workers: int = 1) -> list[SimResultRow]:
     """Score the planted partition across network sizes and between rates.
 
     Within rates are drawn uniformly around 0.3 (halfwidth 0.05) per block;
@@ -120,13 +128,14 @@ def run_sim1(v_list=(DEFAULT_V,), theta_between_grid=DEFAULT_THETA_GRID,
                              np.ones(v), derive_rng(cell_seed, 2))
         return v, theta_rs, 0.0, graph, part, {PLANTED: lambda: part}
 
-    return _study(1, seed, (len(v_list), len(grid)), replicates, alpha, cell)
+    return _study(1, seed, (len(v_list), len(grid)), replicates, alpha, cell, workers)
 
 
 def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
              degradation_grid=DEFAULT_DEGRADATION_GRID,
              replicates: int = DEFAULT_REPLICATES, seed=0, *,
-             v: int = DEFAULT_V, alpha: float = 0.05) -> list[SimResultRow]:
+             v: int = DEFAULT_V, alpha: float = 0.05,
+             workers: int = 1) -> list[SimResultRow]:
     """Score the reference partition on graphs built from degraded labels.
 
     Within rates are fixed at 0.3. For each degradation fraction the graph
@@ -145,13 +154,14 @@ def run_sim2(theta_between_levels=DEFAULT_SIM2_LEVELS,
                              np.ones(v), derive_rng(cell_seed, 2))
         return v, theta_rs, q_frac, graph, reference, {PLANTED: lambda: reference}
 
-    return _study(2, seed, (len(levels), len(grid)), replicates, alpha, cell)
+    return _study(2, seed, (len(levels), len(grid)), replicates, alpha, cell, workers)
 
 
 def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
              replicates: int = DEFAULT_REPLICATES,
              algorithms=("louvain", "fast_greedy"), seed=0, *,
-             v: int = DEFAULT_V, alpha: float = 0.05) -> list[SimResultRow]:
+             v: int = DEFAULT_V, alpha: float = 0.05,
+             workers: int = 1) -> list[SimResultRow]:
     """Score detection algorithms on shared graphs per replicate.
 
     Algorithms are "louvain", "fast_greedy", or "external:<path>" pointing
@@ -184,7 +194,7 @@ def run_sim3(theta_between_levels=(0.01, 0.1, 0.2, 0.3),
         return v, levels[li], 0.0, graph, planted, {
             a: partial(detect, graph, cell_seed, ai, a) for ai, a in enumerate(algorithms)}
 
-    return _study(3, seed, (len(levels),), replicates, alpha, cell)
+    return _study(3, seed, (len(levels),), replicates, alpha, cell, workers)
 
 
 def rows_to_tsv(rows) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from csvnet.cli import main
+from csvnet.cli import _workers, main
 from csvnet.simharness import rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
@@ -264,6 +264,27 @@ def test_compare_rerun_and_threads_byte_identical(tmp_path):
         first = read(dirs[0] / name)
         assert read(dirs[1] / name) == first
         assert read(dirs[2] / name) == first
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_threads_below_one_exits_2_and_writes_nothing(command, threads, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    if command == "compare":
+        paths = [clique_pair_file(tmp_path, f"h{i}.tsv") for i in range(2)]
+        argv = ["compare", *paths, "--out-dir", str(out)]
+    else:
+        argv = ["simulate", "sim1", "--v", "40", "--grid", "0.1",
+                "--replicates", "1", "--out", str(out)]
+    assert main(argv + ["--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+def test_worker_count_defaults_to_and_is_clamped_by_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [_workers(t) for t in (None, 1, 2, 3, 100_000)] == [2, 1, 2, 2, 2]
 
 
 def test_generate_complete_graph(tmp_path, capsys):

@@ -219,3 +219,19 @@ def test_matrix_tsv_layout():
     assert lines[1] == "A\t1.0\t0.25"
     assert lines[2] == "B\t0.5\t1.0"
     assert text.endswith("\n")
+
+
+def test_compare_all_same_at_any_worker_count():
+    # "far" shares no node with the others, so two of its pairs fail.
+    graphs = [("a", clique_pair_graph(6)), ("b", shuffled_copy(clique_pair_graph(7))),
+              ("far", clique_pair_graph(6, prefix="x"))]
+    serial = compare_all(graphs, seed=3)
+    forked = compare_all(graphs, seed=3, workers=2)
+    assert [p.error for p in serial.per_pair] == [
+        None, "graphs share no node labels", "graphs share no node labels"]
+    assert [vars(p) for p in forked.per_pair] == [vars(p) for p in serial.per_pair]
+    for matrix in ("r_matrix", "s_matrix"):
+        assert matrix_tsv(forked.names, getattr(forked, matrix)) \
+            == matrix_tsv(serial.names, getattr(serial, matrix))
+    assert np.array_equal(forked.defined, serial.defined)
+    assert np.array_equal(forked.d_matrix.values, serial.d_matrix.values)

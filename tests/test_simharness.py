@@ -253,3 +253,23 @@ def test_rows_to_tsv_layout():
     cells = lines[2].split("\t")
     assert cells[0] == "sim1" and cells[3] == "0.0"
     assert text.endswith("\n") and len(lines) == 3
+
+
+def test_rows_are_the_same_at_any_worker_count(tmp_path):
+    # Each study has an edgeless cell (v=8, one node per block, between rate
+    # 0); sim3 also scores an external partition file.
+    path = tmp_path / "parts.tsv"
+    path.write_text("".join(f"n{i}\tc{i // 2}\n" for i in range(8)), encoding="utf-8")
+    studies = [
+        (run_sim1, dict(v_list=(8, 40), theta_between_grid=(0.0, 0.1))),
+        (run_sim2, dict(v=8, theta_between_levels=(0.0, 0.5),
+                        degradation_grid=(0.0, 0.5))),
+        (run_sim3, dict(v=8, theta_between_levels=(0.0, 0.5),
+                        algorithms=("louvain", "fast_greedy", f"external:{path}"))),
+    ]
+    for run, kwargs in studies:
+        serial = run(**kwargs, replicates=2, seed=6)
+        forked = run(**kwargs, replicates=2, seed=6, workers=2)
+        assert any(r.ucsv == r.modularity == 0.0 for r in serial)
+        assert forked == serial
+        assert rows_to_tsv(forked) == rows_to_tsv(serial)
