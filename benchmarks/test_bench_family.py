@@ -1,6 +1,6 @@
 """Timing of the validation test family: ``csv_report`` at q = 8, 50 and 200,
-the ``mid_p_family`` engine alone on the q = 200 family, and the scalar
-``upper_mid_p``/``lower_mid_p`` API in acceptance criterion 1's shape.
+the ``mid_p_family`` engine alone on the q = 200 family, and acceptance
+criterion 1's read of both tails at every support point of small triples.
 
 Run from the repository root (outside the default ``testpaths``, so the test
 suite never collects it):
@@ -19,7 +19,7 @@ import pytest
 
 from csvnet.graph import Graph, Partition
 from csvnet.indices import csv_report
-from csvnet.stats import HypergeomParams, lower_mid_p, mid_p_family, upper_mid_p
+from csvnet.stats import mid_p_family
 
 
 def planted(q: int, seed: int = 5) -> tuple[Graph, Partition]:
@@ -58,16 +58,14 @@ def test_mid_p_family(benchmark):
 
 
 def scalar_tails(triples) -> int:
-    """Both tails at every support point of each triple, one fresh
-    HypergeomParams per triple, as criterion 1 reads them."""
+    """Both tails at every support point of each triple, one
+    ``mid_p_family`` call per triple and side, as criterion 1 reads them."""
     points = 0
-    for triple in triples:
-        params = HypergeomParams(*triple)
-        lo, hi = params.support
-        for x in range(lo, hi + 1):
-            upper_mid_p(x, params)
-            lower_mid_p(x, params)
-        points += hi - lo + 1
+    for N, K, n in triples:
+        xs = np.arange(max(0, n + K - N), min(n, K) + 1)
+        mid_p_family(xs, N, K, n, True)
+        mid_p_family(xs, N, K, n, False)
+        points += xs.size
     return points
 
 

@@ -28,10 +28,8 @@ from .compare import (
     ComparisonResult,
     PairComparison,
     compare_all,
-    compare_pair,
     filter_small_communities,
     matrix_tsv,
-    relative_ucsv,
 )
 from .dcsbm import (
     DcsbmConfig,
@@ -79,7 +77,6 @@ from .simharness import (
 from .stats import (
     HypergeomParams,
     bh_adjust,
-    hypergeom_pmf,
     lower_mid_p,
     mid_p_family,
     upper_mid_p,
@@ -91,14 +88,14 @@ __all__ = [
     "CommunityScore", "ComparisonResult", "CsvReport", "DcsbmConfig",
     "Dendrogram", "DistanceMatrix", "EnrichmentMatrix", "EnrichmentResult",
     "Graph", "GraphFormatError", "HypergeomParams", "PairComparison",
-    "Partition", "SimResultRow", "bh_adjust", "compare_all", "compare_pair",
+    "Partition", "SimResultRow", "bh_adjust", "compare_all",
     "complete_linkage", "csv_report", "cut_dendrogram", "degrade_partition",
     "derive_rng", "enrichment_matrix", "equal_block_sizes", "fast_greedy",
-    "filter_small_communities", "from_newick", "hypergeom_pmf",
+    "filter_small_communities", "from_newick",
     "induced_subgraph", "load_graph", "load_partition", "louvain",
     "louvain_with_history", "lower_mid_p", "matrix_tsv", "mid_p_family", "modularity",
     "partition_from_mapping", "planted_partition", "powerlaw_weights",
-    "relative_ucsv", "report_to_json", "report_to_tsv", "rows_to_tsv",
+    "report_to_json", "report_to_tsv", "rows_to_tsv",
     "run_sim1", "run_sim2", "run_sim3", "sample_dcsbm", "sample_graph",
     "sample_theta_within", "save_graph", "save_partition", "theta_matrix",
     "to_newick", "ucsv", "upper_mid_p", "wcsv",

@@ -11,7 +11,6 @@ in-process) that run the pairs.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +48,6 @@ def filter_small_communities(partition: Partition,
     return keep, filtered
 
 
-_UNDEFINED_MSG = "relative index undefined: partition scores 0 on its own graph"
-
-
 def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
                  alpha: float, use_wcsv: bool) -> tuple[float, float, bool]:
     """(own-graph index, relative index, defined) for p over g_own's nodes
@@ -68,24 +64,6 @@ def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
     if own == 0.0:
         return 0.0, 0.0, False
     return own, other / own, True
-
-
-def relative_ucsv(p: Partition, g_own: Graph, g_other: Graph,
-                  alpha: float = 0.05, use_wcsv: bool = False) -> float:
-    """Index of p on g_other divided by its index on g_own.
-
-    Both graphs must cover the same node set; p follows g_own's node order
-    and is realigned by label for g_other. A zero denominator means the
-    partition failed on its own graph; the result is recorded as 0 with a
-    warning.
-    """
-    if set(g_own.node_labels) != set(g_other.node_labels):
-        raise ValueError("graphs must share an identical node set")
-    _, relative, defined = _cross_score(p, np.arange(g_own.n_nodes), g_own, g_other,
-                                        alpha, use_wcsv)
-    if not defined:
-        warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=2)
-    return relative
 
 
 @dataclass(eq=False)
@@ -141,23 +119,6 @@ def _pair_detail(g1: Graph, g2: Graph, alpha: float, min_size: int, seed,
     own2, r21, def21 = _cross_score(p2f, keep2, g2c, g1c, alpha, use_wcsv)
     return PairComparison(names[0], names[1], len(common), r12, r21,
                           def12, def21, own1, own2, p1f.q, p2f.q)
-
-
-def compare_pair(g1: Graph, g2: Graph, alpha: float = 0.05, min_size: int = 5,
-                 seed=0, use_wcsv: bool = False,
-                 names: tuple[str, str] = ("g1", "g2")) -> tuple[float, float]:
-    """Cross-apply Louvain partitions of two graphs over their common nodes.
-
-    Returns (R(P1|G2), R(P2|G1)). The optional names feed the per-graph
-    random streams, keeping batch comparisons order-independent.
-    """
-    _check_alpha(alpha)
-    _check_min_size(min_size)
-    detail = _pair_detail(g1, g2, alpha, min_size, seed, use_wcsv,
-                          (str(names[0]), str(names[1])))
-    if not (detail.defined_ij and detail.defined_ji):
-        warnings.warn(_UNDEFINED_MSG, UserWarning, stacklevel=2)
-    return detail.r_ij, detail.r_ji
 
 
 def compare_all(graphs, alpha: float = 0.05, min_size: int = 5, seed=0,

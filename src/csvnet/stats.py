@@ -3,13 +3,11 @@ Benjamini-Hochberg step-up adjustment.
 
 Every pmf comes from one engine, a block walk over a whole family of
 parameter triples, and every mid-p from one reader of its pmf rows:
-:func:`mid_p_family` reads the blocks as they stop, :func:`support_pmfs`
-hands them out one triple at a time, and the scalar tails read the row of
-one triple's whole support. Rows are grouped into blocks of at most
+:func:`mid_p_family` reads the blocks as they stop, and the scalar tails are
+one-element families. Rows are grouped into blocks of at most
 ``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS`` log-weights, and each row walks
 its support from the low end with the term-ratio recurrence in log space: a
-sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache; a
-:class:`HypergeomParams` object keeps the pmf of its own triple.
+sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache.
 
 Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
 row stops once it is past its mode and more than ``_CUT`` = 750 nats below
@@ -21,9 +19,8 @@ below its maximum. Past the mode the running normalizer already holds the
 maximum weight 1.0, so half its ulp is at least 2**-53 ~ 1.1e-16, while
 every later weight is below e**-40 ~ 4.2e-18: each addition rounds back to
 the same float, so the normalizer and every pmf entry are unchanged, and a
-lower tail at x reads no entry past x. Only :func:`mid_p_family` knows
-which tails read a row; :func:`support_pmfs`, and with it
-:attr:`HypergeomParams.pmf`, keep the 750-nat rule alone. The window starts
+lower tail at x reads no entry past x; :func:`mid_p_family` knows which
+tails read a row and gives each its reach. The window starts
 at mean + 40 sd (6 sd for a lower-only row) and doubles until the row
 stops. On the validate benchmark's input, 200 communities on a 200k-edge
 graph with supports about 1,900 long, the 125 rows that upper tails read end
@@ -49,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,14 +76,6 @@ class HypergeomParams:
     def support(self) -> tuple[int, int]:
         return max(0, self.n + self.K - self.N), min(self.n, self.K)
 
-    @cached_property
-    def pmf(self) -> np.ndarray:
-        """Unit-normalized pmf over the support, indexed from support[0]:
-        one call into the family engine, kept for this object's lifetime."""
-        ((_, pmf),) = support_pmfs(self.N, self.K, self.n)
-        pmf.setflags(write=False)
-        return pmf
-
 
 def _supports(N: np.ndarray, K: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of each support, after checking every parameter triple."""
@@ -96,31 +84,18 @@ def _supports(N: np.ndarray, K: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, 
     return np.maximum(n + K - N, 0), np.minimum(n, K)
 
 
-def support_pmfs(N, K, n) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(i, pmf)`` for every parameter triple ``i`` of the broadcast
-    arrays: the unit-normalized pmf over the whole support, indexed from its
-    lower end. Triples come in block order, not input order."""
-    for idx, size, pmfs in _pmf_blocks(N, K, n):
-        for i, length, row in zip(idx.tolist(), size.tolist(), pmfs):
-            pmf = np.zeros(length)
-            w = min(row.size, length)
-            pmf[:w] = row[:w]
-            yield i, pmf
-
-
-def _pmf_blocks(N, K, n, reach=None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pmf_blocks(N, K, n, reach) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(idx, size, pmfs)`` for each set of parameter triples of the
     broadcast arrays that stop together: triple ``idx[k]`` has support length
     ``size[k]``, and row ``k`` of ``pmfs`` holds the first entries of its pmf.
 
-    Without ``reach`` every later entry is exactly zero. Where ``reach``
-    gives a triple's last pmf index that will be read, its row may stop
-    sooner: every entry up to that index, and the normalizer, are still the
-    same floats, but later entries may be missing."""
+    ``reach`` gives each triple's last pmf index that will be read. A row's
+    entries, and its normalizer, are the same floats as over the whole
+    support, and the row holds every entry up to ``reach`` that is not
+    exactly 0."""
     N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
     lo, hi = _supports(N, K, n)
     sizes = hi - lo + 1
-    reach = sizes - 1 if reach is None else np.asarray(reach, dtype=np.int64)
     # First window: mean plus 40 standard deviations and 64 entries, or 6
     # sd (18 nats on a normal curve) for a row that may stop _SUM_CUT down,
     # grown by doubling where the tail is heavier than that. Rows are sorted
@@ -237,27 +212,14 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     return out.reshape(shape)
 
 
-def hypergeom_pmf(x: int, params: HypergeomParams) -> float:
-    lo, hi = params.support
-    return float(params.pmf[x - lo]) if lo <= x <= hi else 0.0
-
-
-def _mid_p(x_obs: int, params: HypergeomParams, upper: bool) -> float:
-    """One test of :func:`mid_p_family`, read from ``params.pmf``."""
-    lo, hi = params.support
-    if not lo <= x_obs <= hi:
-        return float(upper == (x_obs < lo))
-    return float(_read_mid_p(params.pmf[None], 0, x_obs - lo, upper))
-
-
 def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:
     """Mid-p-value of the overenrichment tail: P(X > x) + P(X = x) / 2."""
-    return _mid_p(x_obs, params, True)
+    return float(mid_p_family(x_obs, params.N, params.K, params.n, True))
 
 
 def lower_mid_p(x_obs: int, params: HypergeomParams) -> float:
     """Mid-p-value of the underenrichment tail: P(X < x) + P(X = x) / 2."""
-    return _mid_p(x_obs, params, False)
+    return float(mid_p_family(x_obs, params.N, params.K, params.n, False))
 
 
 def bh_adjust(pvalues) -> np.ndarray:

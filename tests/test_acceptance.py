@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +16,12 @@ from oracles import bh_reference, linkage_reference
 from csvnet.cli import main
 from csvnet.clustering import (complete_linkage, DistanceMatrix, fast_greedy,
                                louvain, modularity)
-from csvnet.compare import compare_all, compare_pair
+from csvnet.compare import compare_all
 from csvnet.dcsbm import (equal_block_sizes, normalize_weights,
                           planted_partition, sample_graph, theta_matrix)
 from csvnet.graph import Graph, Partition
 from csvnet.simharness import run_sim1, run_sim2, run_sim3
-from csvnet.stats import bh_adjust, HypergeomParams, lower_mid_p, upper_mid_p
+from csvnet.stats import bh_adjust, mid_p_family
 from csvnet._rng import derive_rng
 
 
@@ -48,8 +47,10 @@ def test_criterion_01_midp_matches_enumeration():
         n_pop = int(rng.integers(1, 61))
         k_succ = int(rng.integers(0, n_pop + 1))
         n_draw = int(rng.integers(0, n_pop + 1))
-        params = HypergeomParams(n_pop, k_succ, n_draw)
-        lo, hi = params.support
+        lo, hi = max(0, n_draw + k_succ - n_pop), min(n_draw, k_succ)
+        xs = np.arange(lo, hi + 1)
+        got_upper = mid_p_family(xs, n_pop, k_succ, n_draw, True).tolist()
+        got_lower = mid_p_family(xs, n_pop, k_succ, n_draw, False).tolist()
         denom = math.comb(n_pop, n_draw)
         pmf = [math.comb(k_succ, x) * math.comb(n_pop - k_succ, n_draw - x)
                for x in range(lo, hi + 1)]
@@ -57,12 +58,12 @@ def test_criterion_01_midp_matches_enumeration():
         for i in range(len(pmf) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + pmf[i]
         below = 0
-        for i, x in enumerate(range(lo, hi + 1)):
+        for i in range(len(pmf)):
             upper = Fraction(pmf[i] + 2 * suffix[i + 1], 2 * denom)
             lower = Fraction(pmf[i] + 2 * below, 2 * denom)
             worst = max(worst,
-                        abs(upper_mid_p(x, params) - float(upper)),
-                        abs(lower_mid_p(x, params) - float(lower)))
+                        abs(got_upper[i] - float(upper)),
+                        abs(got_lower[i] - float(lower)))
             below += pmf[i]
     elapsed = time.perf_counter() - start
     _verdict(1, "mid-p oracle", worst < 1e-12,
@@ -161,23 +162,25 @@ def test_criterion_07_network_comparison_sanity():
     result = compare_all([("left", base), ("right", base)], seed=7)
     identical_ok = (np.all(result.r_matrix == 1.0)
                     and np.all(result.d_matrix.values == 0.0))
-    same, different = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for rep in range(20):
-            g1 = _planted_draw(0.01, planted.assignment, derive_rng(7, rep, 1))
-            g2 = _planted_draw(0.01, planted.assignment, derive_rng(7, rep, 2))
-            shuffled = planted.assignment[
-                derive_rng(7, rep, 3).permutation(500)]
-            g3 = _planted_draw(0.01, shuffled, derive_rng(7, rep, 4))
-            same.extend(compare_pair(g1, g2, seed=700 + rep))
-            different.extend(compare_pair(g1, g3, seed=700 + rep))
+    same, different, errors = [], [], []
+    for rep in range(20):
+        g1 = _planted_draw(0.01, planted.assignment, derive_rng(7, rep, 1))
+        g2 = _planted_draw(0.01, planted.assignment, derive_rng(7, rep, 2))
+        shuffled = planted.assignment[
+            derive_rng(7, rep, 3).permutation(500)]
+        g3 = _planted_draw(0.01, shuffled, derive_rng(7, rep, 4))
+        for out, g in ((same, g2), (different, g3)):
+            (pair,) = compare_all([("g1", g1), ("g2", g)], seed=700 + rep).per_pair
+            out.extend((pair.r_ij, pair.r_ji))
+            if pair.error is not None:
+                errors.append(pair.error)
     med_same, med_diff = _median(same), _median(different)
-    ok = identical_ok and med_same >= 0.8 and med_diff <= 0.2
+    ok = identical_ok and not errors and med_same >= 0.8 and med_diff <= 0.2
     elapsed = time.perf_counter() - start
     _verdict(7, "network comparison", ok,
              f"identical R=1/D=0 {identical_ok}; same-block median R "
-             f"{med_same:.3f}, different-block {med_diff:.3f}", elapsed, 180.0)
+             f"{med_same:.3f}, different-block {med_diff:.3f}"
+             + (f"; pair errors {errors}" if errors else ""), elapsed, 180.0)
 
 
 def test_criterion_08_clustering_correctness():

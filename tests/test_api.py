@@ -1,6 +1,7 @@
-"""The package's public surface: exported names, test-like names, unused
-imports, unread private names, the module bindings that the benchmark's
-tracer wraps, and the pytest-benchmark files that time it."""
+"""The package's public surface: exported names, names the README lists as
+removed, test-like names, unused imports, unread private names, the module
+bindings that the benchmark's tracer wraps, and the pytest-benchmark files
+that time it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +32,31 @@ def csvnet_modules():
 def test_all_names_resolve():
     missing = [name for name in csvnet.__all__ if not hasattr(csvnet, name)]
     assert missing == []
+
+
+def removed_names() -> list[str]:
+    """Dotted names in the first column of the README's "Removed in 0.1.x"
+    table: ``name(...)`` or ``Class.attr``; other entries are skipped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Removed in 0.1.x", 1)[1].split("\n#", 1)[0]
+    cells = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    return [m[1] for m in map(re.compile(r"([A-Za-z_][\w.]*)(?:\(|$)").match, cells) if m]
+
+
+def resolves(root: object, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(root, part):
+            return False
+        root = getattr(root, part)
+    return True
+
+
+def test_removed_names_stay_removed():
+    names = removed_names()
+    assert "HypergeomParams.mean" in names and "compare_pair" in names
+    found = [f"{root.__name__}.{name}" for name in names
+             for root in [csvnet, *csvnet_modules()] if resolves(root, name)]
+    assert found == []
 
 
 def test_no_public_callable_looks_like_a_test():

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from csvnet.clustering import louvain
-from csvnet.compare import (
-    compare_all,
-    compare_pair,
-    filter_small_communities,
-    matrix_tsv,
-    relative_ucsv,
-)
+from csvnet.compare import compare_all, filter_small_communities, matrix_tsv
 from csvnet.graph import Graph, Partition
 
 
@@ -55,64 +49,6 @@ def test_filter_rejects_bad_min_size():
         filter_small_communities(Partition(np.zeros(4, dtype=np.int64), 1), 0)
 
 
-def test_relative_ucsv_identical_graphs():
-    graph = clique_pair_graph(5)
-    part = Partition(np.repeat([0, 1], 5), 2)
-    assert relative_ucsv(part, graph, graph) == 1.0
-
-
-def test_relative_ucsv_handles_permuted_node_order():
-    graph = clique_pair_graph(5)
-    part = Partition(np.repeat([0, 1], 5), 2)
-    assert relative_ucsv(part, graph, shuffled_copy(graph, seed=3)) == 1.0
-
-
-def test_relative_ucsv_edgeless_other_graph():
-    graph = clique_pair_graph(5)
-    part = Partition(np.repeat([0, 1], 5), 2)
-    empty = Graph(graph.node_labels, np.empty((0, 2), dtype=np.int64))
-    assert relative_ucsv(part, graph, empty) == 0.0
-
-
-def test_relative_ucsv_zero_denominator_warns():
-    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
-    complete = Graph(tuple(f"n{i}" for i in range(10)), np.array(edges))
-    part = Partition(np.repeat([0, 1], 5), 2)
-    with pytest.warns(UserWarning, match="undefined"):
-        assert relative_ucsv(part, complete, complete) == 0.0
-
-
-def test_compare_pair_zero_own_index_warns():
-    # One community covering a complete graph rejects nothing, so its own
-    # index is 0 and both relative indices are undefined.
-    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
-    complete = Graph(tuple(f"n{i}" for i in range(10)), np.array(edges))
-    with pytest.warns(UserWarning, match="relative index undefined"):
-        assert compare_pair(complete, complete) == (0.0, 0.0)
-
-
-def test_relative_ucsv_rejects_disjoint_node_sets():
-    with pytest.raises(ValueError):
-        relative_ucsv(Partition(np.repeat([0, 1], 5), 2),
-                      clique_pair_graph(5, "a"), clique_pair_graph(5, "b"))
-
-
-def test_compare_pair_self_is_unity():
-    graph = clique_pair_graph(7)
-    assert compare_pair(graph, graph) == (1.0, 1.0)
-
-
-def test_compare_pair_disjoint_labels_fails():
-    with pytest.raises(ValueError, match="no node labels"):
-        compare_pair(clique_pair_graph(7, "a"), clique_pair_graph(7, "b"))
-
-
-def test_compare_pair_all_communities_filtered():
-    tiny = Graph(("a", "b"), np.array([[0, 1]]))
-    with pytest.raises(ValueError, match="no communities survive"):
-        compare_pair(tiny, tiny)
-
-
 def test_compare_all_identical_graphs_zero_distance():
     graph = clique_pair_graph(7)
     result = compare_all([("A", graph), ("B", graph)])
@@ -130,6 +66,8 @@ def test_compare_all_matrix_identities():
     result = compare_all(graphs, seed=5)
     r = result.r_matrix
     assert np.array_equal(np.diag(r), np.ones(3))
+    # B is A with its nodes stored in another order.
+    assert r[0, 1] == r[1, 0] == 1.0
     assert np.array_equal(result.s_matrix, (r + r.T) / 2.0)
     expected_d = np.clip(1.0 - result.s_matrix, 0.0, 1.0)
     np.fill_diagonal(expected_d, 0.0)
@@ -167,6 +105,9 @@ def test_compare_all_records_pair_failures():
     assert result.defined[0, 1] and not result.defined[0, 2]
     assert result.r_matrix[0, 2] == 0.0
     assert result.d_matrix.values[0, 2] == 1.0
+    tiny = Graph(("a", "b"), np.array([[0, 1]]))
+    (pair,) = compare_all([("A", tiny), ("B", tiny)]).per_pair
+    assert "no communities survive" in pair.error
 
 
 def test_compare_all_input_validation():
@@ -187,7 +128,7 @@ def test_compare_all_input_validation():
     ({"alpha": 2.0}, "alpha out of range"),
     ({"min_size": 0}, "min_size must be at least 1"),
 ], ids=["alpha", "min_size"])
-def test_compare_pair_rejects_bad_levels_before_detection(monkeypatch, kwargs, match):
+def test_compare_all_rejects_bad_levels_before_detection(monkeypatch, kwargs, match):
     calls = []
 
     def counted(*args, **kw):
@@ -197,7 +138,7 @@ def test_compare_pair_rejects_bad_levels_before_detection(monkeypatch, kwargs, m
     monkeypatch.setattr("csvnet.compare.louvain", counted)
     graph = clique_pair_graph(6)
     with pytest.raises(ValueError, match=match):
-        compare_pair(graph, graph, **kwargs)
+        compare_all([("A", graph), ("B", graph)], **kwargs)
     assert calls == []
 
 
@@ -210,6 +151,15 @@ def test_per_pair_details_populated():
     assert pair.q_i == pair.q_j == 2
     assert pair.own_index_i == pair.own_index_j == 1.0
     assert pair.error is None
+    # One community covering a complete graph rejects nothing, so its own
+    # index is 0 and both relative indices are undefined, recorded as 0.
+    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+    complete = Graph(tuple(f"n{i}" for i in range(10)), np.array(edges))
+    result = compare_all([("A", complete), ("B", complete)])
+    pair = result.per_pair[0]
+    assert (pair.own_index_i, pair.own_index_j, pair.q_i) == (0.0, 0.0, 1)
+    assert (pair.r_ij, pair.r_ji, pair.error) == (0.0, 0.0, None)
+    assert not (pair.defined_ij or pair.defined_ji or result.defined[0, 1])
 
 
 def test_matrix_tsv_layout():

@@ -28,10 +28,8 @@ from csvnet import stats
 from csvnet.stats import (
     HypergeomParams,
     bh_adjust,
-    hypergeom_pmf,
     lower_mid_p,
     mid_p_family,
-    support_pmfs,
     upper_mid_p,
 )
 
@@ -39,10 +37,29 @@ from csvnet.stats import (
 # --- pmf --------------------------------------------------------------------
 
 
+def engine_pmfs(N, K, n) -> list[np.ndarray]:
+    """The engine's pmf rows of the broadcast triples, each read to its last
+    index and padded with zeros to its whole support, in input order."""
+    N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
+    sizes = np.minimum(n, K) - np.maximum(n + K - N, 0) + 1
+    out = [np.empty(0)] * sizes.size
+    for idx, size, pmfs in stats._pmf_blocks(N, K, n, sizes - 1):
+        for i, length, row in zip(idx.tolist(), size.tolist(), pmfs):
+            out[i] = np.zeros(length)
+            out[i][:min(row.size, length)] = row[:length]
+    return out
+
+
 def test_pmf_values():
-    assert hypergeom_pmf(1, HypergeomParams(4, 2, 2)) == pytest.approx(2 / 3, abs=1e-14)
-    assert hypergeom_pmf(0, HypergeomParams(4, 2, 0)) == 1.0
-    assert hypergeom_pmf(3, HypergeomParams(4, 2, 2)) == 0.0
+    # Both tails at every support point and one step outside it, against
+    # the math.comb pmf: (4, 2, 2) has pmf 1/6, 2/3, 1/6.
+    for N, K, n in [(4, 2, 2), (4, 2, 0), (10, 4, 6), (9, 9, 3)]:
+        lo, hi = max(0, n + K - N), min(n, K)
+        xs = list(range(lo - 1, hi + 2))
+        for upper, exact in ((True, exact_upper_mid_p), (False, exact_lower_mid_p)):
+            expect = [float(exact(x, N, K, n)) for x in xs]
+            assert mid_p_family(xs, N, K, n, upper).tolist() == pytest.approx(
+                expect, abs=1e-12), (N, K, n, upper)
 
 
 def test_params_validation():
@@ -58,21 +75,19 @@ def test_pmf_sums_to_one():
         N = int(rng.integers(1, 10_000))
         K = int(rng.integers(0, N + 1))
         n = int(rng.integers(0, N + 1))
-        p = HypergeomParams(N, K, n)
-        lo, hi = p.support
-        total = sum(hypergeom_pmf(x, p) for x in range(lo, hi + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        (pmf,) = engine_pmfs(N, K, n)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pmf_symmetric_in_K_and_n():
     rng = np.random.default_rng(8)
     for _ in range(200):
         p = random_params(rng)
-        swapped = HypergeomParams(p.N, p.n, p.K)
         lo, hi = p.support
-        for x in range(lo, hi + 1):
-            assert hypergeom_pmf(x, p) == pytest.approx(
-                hypergeom_pmf(x, swapped), abs=1e-12)
+        xs = np.arange(lo, hi + 1)
+        for upper in (True, False):
+            assert mid_p_family(xs, p.N, p.K, p.n, upper) == pytest.approx(
+                mid_p_family(xs, p.N, p.n, p.K, upper), abs=1e-12)
 
 
 # --- mid-p-values -----------------------------------------------------------
@@ -192,11 +207,8 @@ def assert_family_matches(N, K, n) -> None:
     """Every pmf, and both mid-p tails at every probe point, equal the
     whole-support walk bit for bit; the engine gets the triples as one family."""
     triples = [(int(a), int(b), int(c)) for a, b, c in zip(N, K, n)]
-    seen = 0
-    for i, pmf in support_pmfs(N, K, n):
-        assert np.array_equal(pmf, full_support_pmf(*triples[i])), triples[i]
-        seen += 1
-    assert seen == len(triples)
+    for triple, pmf in zip(triples, engine_pmfs(N, K, n), strict=True):
+        assert np.array_equal(pmf, full_support_pmf(*triple)), triple
     probes = [probe_points(*t) for t in triples]
     x = [x for xs in probes for x in xs]
     params = np.repeat(np.array(triples), [len(xs) for xs in probes], axis=0).T
@@ -280,7 +292,7 @@ def test_family_bit_identical_at_the_validate_benchmark_shape():
 def test_scalar_api_reads_the_family_engine():
     for N, K, n in [(20_000, 600, 600), (1_000, 900, 800), (50, 0, 7), (1, 1, 1)]:
         p = HypergeomParams(N, K, n)
-        assert np.array_equal(p.pmf, full_support_pmf(N, K, n))
+        assert np.array_equal(engine_pmfs(N, K, n)[0], full_support_pmf(N, K, n))
         xs = probe_points(N, K, n)
         assert [upper_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, True)
         assert [lower_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, False)
@@ -414,7 +426,7 @@ def test_family_shapes_and_validation():
     with pytest.raises(ValueError):
         mid_p_family(0, 4, 5, 2, True)
     with pytest.raises(ValueError):
-        list(support_pmfs(4, 2, -1))
+        mid_p_family(0, 4, 2, -1, True)
 
 
 # --- Benjamini-Hochberg ------------------------------------------------------
