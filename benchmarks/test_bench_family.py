@@ -1,6 +1,7 @@
 """Timing of the validation test family: ``csv_report`` at q = 8, 50 and 200,
-the ``mid_p_family`` engine alone on the q = 200 family, and acceptance
-criterion 1's read of both tails at every support point of small triples.
+the ``mid_p_family`` engine alone on the q = 200 family and on a family of
+20 wide communities, and acceptance criterion 1's read of both tails at
+every support point of small triples.
 
 Run from the repository root (outside the default ``testpaths``, so the test
 suite never collects it):
@@ -55,6 +56,22 @@ def test_mid_p_family(benchmark):
     args = (links[r, s], int(stubs.sum()), stubs[s], stubs[r], r == s)
     p = benchmark.pedantic(mid_p_family, args=args, rounds=5, warmup_rounds=1)
     assert p.size == 20_100
+
+
+def test_mid_p_family_wide(benchmark):
+    # 20 communities of 60,000-100,000 stubs, about 1.6 million in all: 210
+    # tests whose first windows are 2,600-9,300 entries wide, against a few
+    # dozen to a few hundred at q = 200 (tests/test_stats.py's wide_family).
+    q = 20
+    rng = np.random.default_rng([24, q])
+    stubs = rng.integers(60_000, 100_001, size=q)
+    n_total = int(stubs.sum())
+    r, s = np.triu_indices(q)
+    mean = stubs[r] * stubs[s] / n_total
+    x = np.rint(mean + 3.0 * np.sqrt(mean) * rng.standard_normal(r.size)).astype(np.int64)
+    args = (x, n_total, stubs[s], stubs[r], r == s)
+    p = benchmark.pedantic(mid_p_family, args=args, rounds=5, warmup_rounds=1)
+    assert p.size == 210
 
 
 def scalar_tails(triples) -> int:

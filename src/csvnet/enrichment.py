@@ -109,10 +109,6 @@ class EnrichmentMatrix:
         """Read-only per-test view, built on first access."""
         return tuple(EnrichmentResult(*rec) for rec in self.records())
 
-    @cached_property
-    def _by_pair(self) -> dict[tuple[int, int], EnrichmentResult]:
-        return {(res.r, res.s): res for res in self.results}
-
     def check_community(self, r: int) -> None:
         """Raise ValueError unless ``r`` is a community id of this family."""
         if not 0 <= r < self.q:
@@ -122,10 +118,10 @@ class EnrichmentMatrix:
         """Lookup by community pair; undirected between pairs accept either order."""
         self.check_community(r)
         self.check_community(s)
-        key = (r, s)
         if not self.directed and r > s:
-            key = (s, r)
-        return self._by_pair[key]
+            r, s = s, r
+        (test,) = np.flatnonzero((self.r == r) & (self.s == s))
+        return self.results[test]
 
 
 def _block_counts(graph: Graph, partition: Partition) -> np.ndarray:

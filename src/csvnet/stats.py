@@ -3,11 +3,12 @@ Benjamini-Hochberg step-up adjustment.
 
 Every pmf comes from one engine, a block walk over a whole family of
 parameter triples, and every mid-p from one reader of its pmf rows:
-:func:`mid_p_family` reads the blocks as they stop, and the scalar tails are
-one-element families. Rows are grouped into blocks of at most
-``_BLOCK_ROWS`` rows and ``_BLOCK_ELEMS`` log-weights, and each row walks
-its support from the low end with the term-ratio recurrence in log space: a
-sequential cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache.
+:func:`mid_p_family` checks each count and derives each support once, then
+reads the blocks as they stop; the scalar tails are one-element families. A
+block holds as many rows as fit in ``_BLOCK_ELEMS`` log-weights at the width
+of its widest first window (at least one), and each row walks its support
+from the low end with the term-ratio recurrence in log space: a sequential
+cumsum of log pmf(x+1) / pmf(x). There is no per-triple cache.
 
 Underflow window. float64 ``exp`` returns exactly 0.0 below -745.13, so a
 row stops once it is past its mode and more than ``_CUT`` = 750 nats below
@@ -55,9 +56,9 @@ _CUT = 750.0
 # A weight more than this many nats below its row maximum is below e**-40,
 # under half an ulp of a running sum of at least 1.0, which it leaves as is.
 _SUM_CUT = 40.0
-# A block of rows holds at most this many log-weights per array.
-_BLOCK_ROWS = 256
-_BLOCK_ELEMS = 1 << 20
+# A block's first window holds at most this many log-weights per array
+# (256 KiB of float64), or one row.
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -77,25 +78,15 @@ class HypergeomParams:
         return max(0, self.n + self.K - self.N), min(self.n, self.K)
 
 
-def _supports(N: np.ndarray, K: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of each support, after checking every parameter triple."""
-    if np.any((K < 0) | (K > N) | (n < 0) | (n > N)):
-        raise ValueError("invalid hypergeometric parameters")
-    return np.maximum(n + K - N, 0), np.minimum(n, K)
-
-
-def _pmf_blocks(N, K, n, reach) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(idx, size, pmfs)`` for each set of parameter triples of the
-    broadcast arrays that stop together: triple ``idx[k]`` has support length
-    ``size[k]``, and row ``k`` of ``pmfs`` holds the first entries of its pmf.
+def _pmf_blocks(N, K, n, lo, sizes, reach) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(idx, pmfs)`` for each set of the triples (N, K, n) that stop
+    together: row ``k`` of ``pmfs`` holds the first entries of the pmf of
+    triple ``idx[k]``, whose support starts at ``lo`` and is ``sizes`` long.
 
     ``reach`` gives each triple's last pmf index that will be read. A row's
     entries, and its normalizer, are the same floats as over the whole
     support, and the row holds every entry up to ``reach`` that is not
     exactly 0."""
-    N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
-    lo, hi = _supports(N, K, n)
-    sizes = hi - lo + 1
     # First window: mean plus 40 standard deviations and 64 entries, or 6
     # sd (18 nats on a normal curve) for a row that may stop _SUM_CUT down,
     # grown by doubling where the tail is heavier than that. Rows are sorted
@@ -112,8 +103,12 @@ def _pmf_blocks(N, K, n, reach) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     params = np.stack((lo, K, n, N - K - n))[:, order, None].astype(np.float64)
     total, start = order.size, 0
     while start < total:
-        width = int(guess[min(start + _BLOCK_ROWS, total) - 1])
-        stop = min(start + max(1, min(_BLOCK_ROWS, _BLOCK_ELEMS // width)), total)
+        # The rows that fit in _BLOCK_ELEMS at the width of the widest (the
+        # sort puts it last), at least one: only _BLOCK_ELEMS // guess[start] can.
+        ahead = guess[start:start + _BLOCK_ELEMS // guess[start]]
+        fit = np.count_nonzero(np.arange(1, ahead.size + 1) * ahead <= _BLOCK_ELEMS)
+        stop = start + max(1, fit)
+        width = int(guess[stop - 1])
         idx, size, cols = order[start:stop], sizes[start:stop], params[:, start:stop]
         read_to = reach[start:stop]
         start = stop
@@ -132,7 +127,7 @@ def _pmf_blocks(N, K, n, reach) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
             part[np.arange(width) >= size[done][:, None]] = -np.inf
             weights = np.exp(part - part.max(axis=1)[:, None])
             weights /= np.cumsum(weights, axis=1)[:, -1:]
-            yield idx[done], size[done], weights
+            yield idx[done], weights
             if done.all():
                 break
             keep = ~done
@@ -182,9 +177,15 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     P(X < x) + P(X = x) / 2 where it is false."""
     x, N, K, n, upper = np.broadcast_arrays(x, N, K, n, upper)
     shape = x.shape
-    x, N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in (x, N, K, n))
-    upper = np.asarray(upper, dtype=bool).ravel()
-    lo, hi = _supports(N, K, n)
+    counts = [a.ravel() for a in (x, N, K, n)]
+    if any(a.dtype.kind not in "biu" and not (np.isfinite(a) & (np.trunc(a) == a)).all()
+           for a in counts):
+        raise ValueError("hypergeometric counts must be finite integers")
+    x, N, K, n = (a.astype(np.int64, copy=False) for a in counts)
+    if np.any((K < 0) | (K > N) | (n < 0) | (n > N)):
+        raise ValueError("invalid hypergeometric parameters")
+    upper = upper.astype(bool, copy=False).ravel()
+    lo, hi = np.maximum(n + K - N, 0), np.minimum(n, K)
     out = np.where(upper, x < lo, x > hi).astype(np.float64)
     inside = np.flatnonzero((lo <= x) & (x <= hi))
     # One pmf per distinct triple; its tests then differ only in x and side.
@@ -199,7 +200,8 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     # if an upper tail reads it (x <= hi, so hi - lo is then the largest).
     read = np.where(upper, hi - lo, j)[by_triple]
     reach = np.maximum.reduceat(read, first)
-    for idx, _, pmfs in _pmf_blocks(*triple[:, first], reach):
+    t = by_triple[first]  # one test of each distinct triple
+    for idx, pmfs in _pmf_blocks(N[t], K[t], n[t], lo[t], hi[t] - lo[t] + 1, reach):
         # The tests of these triples, and the pmf row of each.
         per = count[idx]
         row = np.repeat(np.arange(idx.size), per)

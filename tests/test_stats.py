@@ -7,6 +7,7 @@ Fraction-arithmetic oracles in tests/oracles.py.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from itertools import accumulate
 from math import comb
 
@@ -41,10 +42,11 @@ def engine_pmfs(N, K, n) -> list[np.ndarray]:
     """The engine's pmf rows of the broadcast triples, each read to its last
     index and padded with zeros to its whole support, in input order."""
     N, K, n = (np.asarray(a, dtype=np.int64).ravel() for a in np.broadcast_arrays(N, K, n))
-    sizes = np.minimum(n, K) - np.maximum(n + K - N, 0) + 1
+    lo = np.maximum(n + K - N, 0)
+    sizes = np.minimum(n, K) - lo + 1
     out = [np.empty(0)] * sizes.size
-    for idx, size, pmfs in stats._pmf_blocks(N, K, n, sizes - 1):
-        for i, length, row in zip(idx.tolist(), size.tolist(), pmfs):
+    for idx, pmfs in stats._pmf_blocks(N, K, n, lo, sizes, sizes - 1):
+        for i, length, row in zip(idx.tolist(), sizes[idx].tolist(), pmfs):
             out[i] = np.zeros(length)
             out[i][:min(row.size, length)] = row[:length]
     return out
@@ -416,6 +418,58 @@ def test_family_work_at_the_validate_shape(monkeypatch):
     calls = walked(monkeypatch)
     mid_p_family(*validate_family())
     assert sum(out.shape[0] * (out.shape[1] - before) for before, out in calls) < 1_000_000
+
+
+def wide_family():
+    """(x, N, K, n, upper) of a seeded 20-community family with 60,000-100,000
+    stubs per community, about 1.6 million in all, as enrichment_matrix
+    builds it: 20 within tests (upper) and 190 between tests (lower), each
+    observed up to 8 sd from its mean of 2,300-6,300 on a support of
+    60,000-100,000 points. Also timed in benchmarks/test_bench_family.py."""
+    q = 20
+    rng = np.random.default_rng([24, q])
+    stubs = rng.integers(60_000, 100_001, size=q)
+    N = int(stubs.sum())
+    r, s = np.triu_indices(q)
+    mean = stubs[r] * stubs[s] / N
+    x = np.rint(mean + 3.0 * np.sqrt(mean) * rng.standard_normal(r.size)).astype(np.int64)
+    return x, N, stubs[s], stubs[r], r == s
+
+
+def test_wide_family_memory(monkeypatch):
+    # First windows of 2,600-9,300 entries: the block budget keeps the walk
+    # to a few of these rows at a time. A budget that let the 210 rows share
+    # one or two blocks would peak near 50 MiB.
+    x, N, K, n, upper = wide_family()
+    tracemalloc.start()
+    try:
+        got = mid_p_family(x, N, K, n, upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+    calls = walked(monkeypatch)
+    mid_p_family(x, N, K, n, upper)
+    firsts = [out.shape for before, out in calls if before == 1]
+    assert len(firsts) > 1
+    assert all(rows * width <= stats._BLOCK_ELEMS or rows == 1 for rows, width in firsts)
+    for k, key in enumerate(zip(x.tolist(), K.tolist(), n.tolist(), upper.tolist())):
+        assert got[k] == full_support_mid_p([key[0]], N, *key[1:])[0], key
+
+
+def test_family_rejects_non_integral_counts():
+    # A float count was truncated: x = 2.7 read as 2 and N = 10.9 as 10, and
+    # a NaN failed only after a numpy cast warning.
+    for args in ((2.7, 10, 5, 5), (2, 10.9, 5, 5), (2, 10, 5.5, 5), (2, 10, 5, 4.2),
+                 (np.nan, 10, 5, 5), (2, np.inf, 5, 5), (2, 10, -np.inf, 5),
+                 ([1, 2.5], 10, 5, 5)):
+        with pytest.raises(ValueError, match="finite integers"):
+            mid_p_family(*args, True)
+    with pytest.raises(ValueError, match="finite integers"):
+        upper_mid_p(2, HypergeomParams(10.9, 5, 5))
+    # Integral floats read as the integers they hold.
+    assert mid_p_family([2.0, 3.0], 10.0, 5.0, 5, [True, False]).tolist() == (
+        mid_p_family([2, 3], 10, 5, 5, [True, False]).tolist())
 
 
 def test_family_shapes_and_validation():
