@@ -15,7 +15,7 @@ import errno
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import compress
 from pathlib import Path
 
@@ -43,7 +43,14 @@ from .graph import (
     save_graph,
     save_partition,
 )
-from .indices import csv_report, report_to_json, report_to_tsv
+# Nor are report_to_json and report_to_tsv, which perfbench/traced.py wraps.
+from .indices import (
+    csv_report,
+    report_json_pieces,
+    report_to_json,
+    report_to_tsv,
+    report_tsv_pieces,
+)
 from .simharness import rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
@@ -93,15 +100,20 @@ def _write_files(writers: dict[str | Path, Callable[[Path], None]]) -> None:
         old.unlink()
 
 
-def _text_writer(text: str) -> Callable[[Path], None]:
-    return lambda path: path.write_text(text, encoding="utf-8", newline="\n")
+def _text_writer(pieces: Iterable[str]) -> Callable[[Path], None]:
+    """A writer of the text ``pieces`` to a file, one write per piece."""
+    def write(path: Path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+    return write
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to the file ``path``, or to stdout if None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        _write_files({path: _text_writer(text)})
+        _write_files({path: _text_writer(pieces)})
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -110,8 +122,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.graph}: edge list has no edges")
     partition = load_partition(args.partition, graph)
     report = csv_report(graph, partition, alpha=args.alpha)
-    text = report_to_json(report) if args.format == "json" else report_to_tsv(report)
-    _write_text(args.out, text)
+    # The report is written as it is formatted, a block of tests at a time,
+    # so its whole text is never held.
+    pieces = report_json_pieces if args.format == "json" else report_tsv_pieces
+    _write_text(args.out, pieces(report))
     return 0
 
 
@@ -170,7 +184,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        _write_files({out_dir / name: _text_writer(text) for name, text in files.items()})
+        _write_files({out_dir / name: _text_writer([text]) for name, text in files.items()})
     except OSError:
         # A failed write leaves nothing, so a directory this run made is empty.
         if created:
@@ -246,7 +260,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         partition = fast_greedy(graph)
     lines = [f"{lab}\t{partition.assignment[i]}"
              for i, lab in enumerate(graph.node_labels)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -276,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Looked up per call: perfbench/traced.py rebinds this module's run_sim3.
     run = {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}[args.sim]
     rows = run(**params, workers=_workers(args.threads))
-    _write_text(args.out, rows_to_tsv(rows))
+    _write_text(args.out, [rows_to_tsv(rows)])
     return 0
 
 

@@ -12,6 +12,7 @@ single tests are read back through :meth:`EnrichmentMatrix.result`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +60,7 @@ class EnrichmentResult:
 # Column name -> dtype, in the field order of EnrichmentResult minus direction.
 _COLUMNS = {"r": np.int64, "s": np.int64, "n_obs": np.int64, "mu0": np.float64,
             "raw_p": np.float64, "adj_p": np.float64, "degenerate": np.bool_}
+_RECORD_BLOCK = 1 << 10  # tests per block of records(), and per write of a report
 
 
 @dataclass(eq=False)
@@ -97,17 +99,21 @@ class EnrichmentMatrix:
         """Mask of the tests rejecting at level ``alpha``; degenerate tests never do."""
         return ~self.degenerate & (self.adj_p <= alpha)
 
-    def records(self):
-        """Per-test tuples in the field order of :class:`EnrichmentResult`."""
-        direction = np.where(self.r == self.s, WITHIN_OVER, BETWEEN_UNDER).tolist()
-        cols = [getattr(self, name).tolist() for name in _COLUMNS]
-        return zip(cols[0], cols[1], direction, *cols[2:])
+    def records(self) -> Iterator[Iterator[tuple]]:
+        """Per-test tuples in the field order of :class:`EnrichmentResult`,
+        in family order and in blocks of ``_RECORD_BLOCK`` tests: only the
+        block being read is held as Python objects."""
+        for lo in range(0, self.r.size, _RECORD_BLOCK):
+            cols = [getattr(self, name)[lo:lo + _RECORD_BLOCK].tolist() for name in _COLUMNS]
+            direction = [WITHIN_OVER if r == s else BETWEEN_UNDER
+                         for r, s in zip(cols[0], cols[1])]
+            yield zip(cols[0], cols[1], direction, *cols[2:])
 
     # Backs result(); perfbench/traced.py also counts tests through it.
     @cached_property
     def results(self) -> tuple[EnrichmentResult, ...]:
         """Read-only per-test view, built on first access."""
-        return tuple(EnrichmentResult(*rec) for rec in self.records())
+        return tuple(EnrichmentResult(*rec) for block in self.records() for rec in block)
 
     def check_community(self, r: int) -> None:
         """Raise ValueError unless ``r`` is a community id of this family."""

@@ -47,21 +47,26 @@ class Graph:
             raise ValueError("node labels must be unique")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         n = len(self.node_labels)
-        if np.any((edges < 0) | (edges >= n)):
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
         u, v = edges[:, 0], edges[:, 1]
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        if not self.directed:
-            edges = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
-        # One int64 key per edge orders the edges by (u, v) and puts
-        # duplicates next to each other.
-        key = edges[:, 0] * n + edges[:, 1]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        # One int64 key per edge, u * n + v (lower endpoint first when
+        # undirected), built and sorted in place: sorted keys order the edges
+        # by (u, v) and put duplicates next to each other.
+        if self.directed:
+            key = u * n
+            key += v
+        else:
+            key = np.minimum(u, v)
+            key *= n
+            key += np.maximum(u, v)
+        key.sort()
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        edges = edges[order]
+        edges = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
         edges.setflags(write=False)
         self.edges = edges
 
@@ -269,12 +274,18 @@ def save_graph(graph: Graph, path: str | Path) -> None:
     from the file (callers that persist partitions alongside a graph should
     restrict them to the nodes that survive a round trip).
     """
-    labels = graph.node_labels
+    # Each node's two line pieces are built once; a row is then its first
+    # endpoint's "label\t" and its second's "label\n", interleaved.
+    tab = [label + "\t" for label in graph.node_labels]
+    end = [label + "\n" for label in graph.node_labels]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # Blocks of rows keep the Python lists small next to the edge array.
         for lo in range(0, graph.n_edges, _SAVE_BLOCK):
-            rows = graph.edges[lo:lo + _SAVE_BLOCK].tolist()
-            fh.write("".join([f"{labels[u]}\t{labels[v]}\n" for u, v in rows]))
+            block = graph.edges[lo:lo + _SAVE_BLOCK]
+            pieces = [None] * (2 * len(block))
+            pieces[::2] = map(tab.__getitem__, block[:, 0].tolist())
+            pieces[1::2] = map(end.__getitem__, block[:, 1].tolist())
+            fh.write("".join(pieces))
 
 
 def load_partition(path: str | Path, graph: Graph) -> Partition:

@@ -9,6 +9,7 @@ never reject, so partitions with dead communities score lower.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -110,8 +111,9 @@ def csv_report(graph: Graph, partition: Partition, alpha: float = 0.05) -> CsvRe
                      per_community, matrix)
 
 
-def report_to_json(report: CsvReport) -> str:
-    """Serialize with a fixed field order, trailing newline, LF only.
+def report_json_pieces(report: CsvReport) -> Iterator[str]:
+    """The JSON text of :func:`report_to_json` in pieces: the head, one
+    piece per block of :meth:`EnrichmentMatrix.records`, then the tail.
 
     The text equals ``json.dumps(payload, indent=2) + "\n"``. The test list
     is written directly, because ``json`` falls back to its pure-Python
@@ -130,25 +132,28 @@ def report_to_json(report: CsvReport) -> str:
         ],
         "tests": [],
     }
-    head = json.dumps(payload, indent=2)
+    yield json.dumps(payload, indent=2)[:-len("[]\n}")]
     f = fmt_float
-    # One join over the head, the tests and the tail, so the text is built
-    # once. Test directions are the enrichment module's plain-ASCII
-    # constants, so they need no escaping, and every test float is finite
+    # Test directions are the enrichment module's plain-ASCII constants, so
+    # they need no escaping, and every test float is finite
     # (EnrichmentMatrix checks), so its repr is what json writes.
-    tests = (
-        f'{sep}    {{\n      "r": {r},\n      "s": {s},\n'
-        f'      "direction": "{direction}",\n      "n_obs": {n_obs},\n'
-        f'      "mu0": {f(mu0)},\n      "raw_p": {f(raw_p)},\n'
-        f'      "adj_p": {f(adj_p)},\n'
-        f'      "degenerate": {"true" if degenerate else "false"}\n    }}'
-        for sep, (r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate)
-        in zip(chain(["[\n"], repeat(",\n")), report.matrix.records()))
-    return "".join(chain([head[:-len("[]\n}")]], tests, ["\n  ]\n}\n"]))
+    seps = chain(["[\n"], repeat(",\n"))
+    for block in report.matrix.records():
+        yield "".join(
+            f'{sep}    {{\n      "r": {r},\n      "s": {s},\n'
+            f'      "direction": "{direction}",\n      "n_obs": {n_obs},\n'
+            f'      "mu0": {f(mu0)},\n      "raw_p": {f(raw_p)},\n'
+            f'      "adj_p": {f(adj_p)},\n'
+            f'      "degenerate": {"true" if degenerate else "false"}\n    }}'
+            for (r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate), sep
+            in zip(block, seps))
+    yield "\n  ]\n}\n"
 
 
-def report_to_tsv(report: CsvReport) -> str:
-    """Flat TSV: self-describing record rows behind a schema comment."""
+def report_tsv_pieces(report: CsvReport) -> Iterator[str]:
+    """The TSV text of :func:`report_to_tsv` in pieces: the schema comment,
+    indices and communities, then one piece per block of
+    :meth:`EnrichmentMatrix.records`."""
     f = fmt_float
     lines = [f"# csvnet report schema_version={SCHEMA_VERSION}",
              f"index\talpha\t{f(report.alpha)}",
@@ -156,9 +161,19 @@ def report_to_tsv(report: CsvReport) -> str:
              f"index\twcsv\t{f(report.wcsv)}"]
     for c in report.per_community:
         lines.append(f"community\t{c.community}\t{c.size}\t{f(c.ucv)}\t{f(c.wcv)}")
-    for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate in report.matrix.records():
-        lines.append("\t".join([
-            "test", str(r), str(s), direction, str(n_obs),
-            f(mu0), f(raw_p), f(adj_p), str(int(degenerate)),
-        ]))
-    return "\n".join(lines) + "\n"
+    yield "".join(line + "\n" for line in lines)
+    for block in report.matrix.records():
+        yield "".join(
+            f"test\t{r}\t{s}\t{direction}\t{n_obs}\t{f(mu0)}\t{f(raw_p)}\t{f(adj_p)}"
+            f"\t{int(degenerate)}\n"
+            for r, s, direction, n_obs, mu0, raw_p, adj_p, degenerate in block)
+
+
+def report_to_json(report: CsvReport) -> str:
+    """Serialize with a fixed field order, trailing newline, LF only."""
+    return "".join(report_json_pieces(report))
+
+
+def report_to_tsv(report: CsvReport) -> str:
+    """Flat TSV: self-describing record rows behind a schema comment."""
+    return "".join(report_tsv_pieces(report))

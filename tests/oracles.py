@@ -11,7 +11,10 @@ package's sampler version 1); the package's geometric-skip sampler must
 match its per-pair edge frequencies over many seeds and its warning word for
 word. ``line_loop_load_graph`` is the per-line edge-list parser with a
 Python set for deduplication; the package's record reader must give the same
-labels, edges, warnings and errors. ``recursive_from_newick`` is the
+labels, edges, warnings and errors. ``argsort_graph_edges`` is the ``Graph``
+constructor's edge canonicalisation by stable argsort and gathers; the
+in-place key sort must give the same edge array or the same ValueError.
+``recursive_from_newick`` is the
 recursive-descent Newick parser that builds a nested-tuple parse tree and
 walks it; the package's one-pass scanner must give the same dendrogram, or a
 ValueError wherever it raises one (past Python's recursion limit it reports
@@ -215,6 +218,27 @@ def pairwise_sample_graph(assignment, theta, weights, seed,
     if labels is None:
         labels = tuple(f"n{i}" for i in range(v))
     return Graph(labels, edges)
+
+
+def argsort_graph_edges(n: int, edges, directed: bool) -> np.ndarray:
+    """The edge array ``Graph`` stores for ``n`` nodes, built the way its
+    constructor once did: a stacked (min, max) copy when undirected, a stable
+    argsort of the u * n + v keys, and two gathers; ValueError where it
+    raised one."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if np.any((edges < 0) | (edges >= n)):
+        raise ValueError("edge endpoint out of range")
+    u, v = edges[:, 0], edges[:, 1]
+    if np.any(u == v):
+        raise ValueError("self-loops are not allowed")
+    if not directed:
+        edges = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
+    key = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("duplicate edges are not allowed")
+    return edges[order]
 
 
 def line_loop_load_graph(path, directed: bool = False) -> Graph:

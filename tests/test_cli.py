@@ -5,11 +5,23 @@ from __future__ import annotations
 import errno
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import random_graph
 
+from csvnet import cli, enrichment
 from csvnet.cli import _workers, main
+from csvnet.graph import Partition
+from csvnet.indices import (
+    csv_report,
+    report_json_pieces,
+    report_to_json,
+    report_to_tsv,
+    report_tsv_pieces,
+)
 from csvnet.simharness import rows_to_tsv, run_sim1, run_sim2, run_sim3
 
 
@@ -46,6 +58,56 @@ def test_validate_tsv_to_file(triangles, tmp_path, capsys):
     text = read(out)
     assert text.startswith("# csvnet report schema_version=2\n")
     assert "\nindex\tucsv\t1.0\n" in text
+
+
+def test_report_writer_memory(tmp_path):
+    # A 20,100-test family (q = 200). Built whole and then written, the text
+    # is held next to its per-test strings or its encoded copy, at about
+    # twice the text; the validate writer holds one block of tests at a time.
+    graph = random_graph(np.random.default_rng(11), 2000, 10_000)
+    report = csv_report(graph, Partition(np.arange(2000) % 200, 200))
+    assert report.matrix.r.size == 20_100
+    out = tmp_path / "report"
+    for pieces, whole in ((report_json_pieces, report_to_json),
+                          (report_tsv_pieces, report_to_tsv)):
+        peaks = []
+        for text in (lambda: pieces(report), lambda: [whole(report)]):
+            tracemalloc.start()
+            try:
+                cli._write_text(str(out), text())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] / 2, (whole.__name__, peaks)
+        assert read(out) == whole(report)
+
+
+def test_validate_failed_stream_keeps_old_report(tmp_path, capsys, monkeypatch):
+    # A write that fails after some blocks of tests are in the partial file
+    # removes that file and leaves the old report in place.
+    graph = random_graph(np.random.default_rng(12), 60, 200)
+    graph_path, part_path = tmp_path / "g.tsv", tmp_path / "p.tsv"
+    graph_path.write_text("".join(f"{graph.node_labels[u]}\t{graph.node_labels[v]}\n"
+                                  for u, v in graph.edges.tolist()), encoding="utf-8")
+    part_path.write_text("".join(f"{lab}\tc{i % 10}\n"
+                                 for i, lab in enumerate(graph.node_labels)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    out.write_text("old report\n", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(enrichment, "_RECORD_BLOCK", 4)
+
+    def failing(report):
+        pieces = report_json_pieces(report)
+        for _ in range(3):
+            yield next(pieces)
+        assert [p.name for p in tmp_path.iterdir() if ".partial-" in p.name]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "report_json_pieces", failing)
+    assert main(["validate", str(graph_path), str(part_path), "--out", str(out)]) == 2
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert read(out) == "old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_validate_partition_missing_node(triangles, tmp_path, capsys):

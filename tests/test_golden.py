@@ -20,7 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csvnet import enrichment
 from csvnet.cli import main
+from csvnet.graph import load_graph, load_partition
+from csvnet.indices import csv_report, report_to_json, report_to_tsv
 
 SIMULATE = {
     "sim1": (["--v", "60", "--grid", "0.0", "0.1"],
@@ -134,3 +137,27 @@ def test_validate_golden(case, tmp_path):
                      "--out", str(out)]) == 0
         got[fmt] = sha256(out)
     assert got == digests
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("case", sorted(VALIDATE))
+def test_validate_streams_the_library_text(case, block, tmp_path, capsys, monkeypatch):
+    # validate writes its report a block of tests at a time; the bytes, to a
+    # file and to stdout, are the library's whole text. Small blocks split
+    # the q=30 families into many pieces.
+    if block is not None:
+        monkeypatch.setattr(enrichment, "_RECORD_BLOCK", block)
+    directed, _ = VALIDATE[case]
+    graph, part = planted_validate_inputs(tmp_path, directed)
+    loaded = load_graph(graph, directed=directed)
+    report = csv_report(loaded, load_partition(part, loaded))
+    flags = ["--directed"] if directed else []
+    for fmt, whole in (("json", report_to_json), ("tsv", report_to_tsv)):
+        text = whole(report)
+        out = tmp_path / f"report.{fmt}"
+        assert main(["validate", graph, part, *flags, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode("utf-8")
+        capsys.readouterr()
+        assert main(["validate", graph, part, *flags, "--format", fmt]) == 0
+        assert capsys.readouterr().out == text

@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import block_link_counts, line_loop_load_graph, random_graph
+from oracles import argsort_graph_edges, block_link_counts, line_loop_load_graph, random_graph
 
 from csvnet import graph as graph_module
 from csvnet.graph import (
@@ -71,6 +71,54 @@ def test_graph_same_from_any_edge_order():
         Graph(("a", "b", "c"), [(0, 1), (2, 0), (1, 0)])
     with pytest.raises(ValueError, match="self-loops"):
         Graph(("a", "b"), [(0, 1), (1, 1)], directed=True)
+
+
+@st.composite
+def edge_arrays(draw) -> tuple[int, np.ndarray]:
+    """A node count up to 8 and distinct ordered pairs on its nodes, in a
+    random order, with at most one fault: a repeated pair (either
+    orientation), a self-loop, a negative id or an id of n or more."""
+    n = draw(st.integers(0, 8))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                          unique=True, max_size=30)) if n > 1 else []
+    fault = draw(st.sampled_from(["none", "repeat", "loop", "negative", "high"]))
+    a, b = draw(ids), draw(st.integers(0, 3))
+    if fault == "repeat" and pairs:
+        u, v = draw(st.sampled_from(pairs))
+        pairs.append((v, u) if draw(st.booleans()) else (u, v))
+    elif fault == "loop":
+        pairs.append((a, a))
+    elif fault == "negative":
+        pairs.append((a, -1 - b))
+    elif fault == "high":
+        pairs.append((n + b, a))
+    pairs = draw(st.permutations(pairs))
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _canonical_outcome(build, n, edges, directed):
+    try:
+        return build(n, edges, directed).tobytes()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays(), st.booleans())
+@example((0, np.empty((0, 2), dtype=np.int64)), False)
+def test_edge_canonicalisation_matches_argsort_oracle(case, directed):
+    # The constructor's in-place key sort against the stable argsort and
+    # gathers it replaced, on each orientation of the same pairs.
+    n, edges = case
+    labels = tuple(f"n{i}" for i in range(n))
+
+    def build(n, edges, directed):
+        return Graph(labels, edges, directed=directed).edges
+
+    for pairs in (edges, edges[:, ::-1]):
+        assert (_canonical_outcome(build, n, pairs, directed)
+                == _canonical_outcome(argsort_graph_edges, n, pairs, directed))
 
 
 def test_directed_keeps_both_orientations():
