@@ -15,6 +15,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 from collections.abc import Callable, Iterable
 from itertools import compress
 from pathlib import Path
@@ -219,11 +220,19 @@ def _generate_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+_NO_EDGES = "generated graph has no edges; raise theta or v"
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if os.path.realpath(args.out_graph) == os.path.realpath(args.out_partition):
         raise ValueError(f"--out-graph and --out-partition name one file: {args.out_graph}")
     s = _generate_settings(args)
     sizes = equal_block_sizes(s["v"], s["blocks"])
+    theta = theta_matrix(s["theta_within"], s["theta_between"], s["blocks"])
+    # Checked before any per-node array is built: with every rate zero the
+    # graph has no edges at any v.
+    if not theta.any():
+        raise ValueError(_NO_EDGES)
     partition = planted_partition(sizes)
     if s["weight_mode"] == "uniform":
         weights = np.ones(s["v"])
@@ -231,11 +240,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         weights = powerlaw_weights(partition, seed=derive_rng(s["seed"], 101))
     else:
         raise ValueError(f"unknown weight_mode {s['weight_mode']!r}")
-    theta = theta_matrix(s["theta_within"], s["theta_between"], s["blocks"])
     config = DcsbmConfig(sizes, theta, weights, seed=s["seed"])
     graph, partition = sample_dcsbm(config)
     if graph.n_edges == 0:
-        raise ValueError("generated graph has no edges; raise theta or v")
+        raise ValueError(_NO_EDGES)
     # The edge list cannot hold isolated nodes, so the partition covers
     # only the nodes that a reload of the graph file will see.
     mask = graph.degrees > 0
@@ -381,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -388,7 +401,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ in-process) that run the pairs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +97,9 @@ class ComparisonResult:
 
 
 def _name_key(name: str) -> int:
+    # Imported here: hashlib loads OpenSSL's libcrypto (about 3.5 MiB), which
+    # no other command needs.
+    import hashlib
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

@@ -135,11 +135,13 @@ def _block_counts(graph: Graph, partition: Partition) -> np.ndarray:
     per orientation (directed)."""
     q = partition.q
     asg = partition.assignment
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    flat = asg[u] * q + asg[v]
-    if not graph.directed:
-        flat = np.concatenate([flat, asg[v] * q + asg[u]])
-    return np.bincount(flat, minlength=q * q).reshape(q, q)
+    flat = asg[graph.edges[:, 0]]
+    flat *= q
+    flat += asg[graph.edges[:, 1]]
+    links = np.bincount(flat, minlength=q * q).reshape(q, q)
+    # Undirected: each edge counts once per orientation, and counts are
+    # integers, so the transpose adds the other orientation exactly.
+    return links if graph.directed else links + links.T
 
 
 def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:

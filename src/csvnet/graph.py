@@ -9,17 +9,19 @@ by the constructor; :func:`load_graph` drops them with a summary warning.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
 
 
 _SAVE_BLOCK = 1 << 14  # edges formatted per write in save_graph
-_READ_CHUNK = 1 << 18  # characters read per chunk by _read_records
+_READ_CHUNK = 1 << 16  # characters read per chunk by _read_records
+_KEY_SHIFT = 32  # load_graph's edge key holds u above this bit and v below it
 # Code points str.split() separates on (all of them are at most U+3000);
 # the last entry stands for every code point above the table.
 _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
@@ -147,21 +149,39 @@ def first_appearance_ids(values) -> tuple[list[int], int]:
     return [ids.setdefault(x, len(ids)) for x in values], len(ids)
 
 
+def _dense_partition(graph: Graph, nodes: np.ndarray, comms: np.ndarray) -> Partition:
+    """The Partition of ``graph`` that puts node ``nodes[k]`` in community
+    ``comms[k]``. ``nodes`` are distinct, ``comms`` take every value of
+    0..c-1, and communities are renumbered in order of first appearance
+    along the graph's node order."""
+    asg = np.full(graph.n_nodes, -1, dtype=np.int64)
+    asg[nodes] = comms
+    missing = np.flatnonzero(asg < 0)
+    if missing.size:
+        name = repr(graph.node_labels[missing[0]])
+        raise ValueError(f"uncovered node {name} (and {missing.size - 1} more)"
+                         if missing.size > 1 else f"uncovered node {name}")
+    first = np.unique(asg, return_index=True)[1]  # each community's first node
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return Partition(rank[asg], first.size)
+
+
 def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partition:
     """Build a dense Partition of ``graph`` from a label -> community mapping.
 
     Community labels are remapped to 0..q-1 in order of first appearance
     along the graph's node order.
     """
-    missing = [lab for lab in graph.node_labels if lab not in mapping]
-    if missing:
-        raise ValueError(f"uncovered node {missing[0]!r} (and {len(missing) - 1} more)"
-                         if len(missing) > 1 else f"uncovered node {missing[0]!r}")
-    extra = set(mapping) - set(graph.node_labels)
-    if extra:
-        raise ValueError(f"unknown node label {min(extra)!r}")
-    assignment, q = first_appearance_ids(mapping[lab] for lab in graph.node_labels)
-    return Partition(np.array(assignment, dtype=np.int64), q)
+    index = graph.label_index
+    known = [lab for lab in mapping if lab in index]
+    comm_ids = defaultdict(count().__next__)
+    partition = _dense_partition(
+        graph, np.fromiter(map(index.__getitem__, known), np.int64, len(known)),
+        np.fromiter((comm_ids[mapping[lab]] for lab in known), np.int64, len(known)))
+    if len(known) < len(mapping):
+        raise ValueError(f"unknown node label {min(set(mapping) - set(index))!r}")
+    return partition
 
 
 def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.ndarray]]:
@@ -173,7 +193,8 @@ def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.nda
     about ``_READ_CHUNK`` characters at a time, each chunk cut after its last
     line end. Tokens are separated as by ``str.split()``. Blank lines and
     lines whose first token starts with '#' are skipped, and any other line
-    must hold exactly two tokens.
+    must hold exactly two tokens. Bytes that are not UTF-8 raise a
+    GraphFormatError naming the first line that holds them.
     """
     base = 0  # lines before the chunk
     with open(path, encoding="utf-8-sig") as fh:
@@ -200,16 +221,35 @@ def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.nda
             base += ends.size
 
 
+def _undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8, with
+    line ends as universal newlines read them."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            for line in raw.splitlines():
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
+
+
 def _text_chunks(fh) -> Iterator[str]:
     """The text of ``fh`` in pieces of about ``_READ_CHUNK`` characters,
     each cut after its last line end; a line longer than that is one piece."""
     pending: list[str] = []
-    while block := fh.read(_READ_CHUNK):
-        cut = block.rfind("\n") + 1
-        if cut:
-            yield "".join([*pending, block[:cut]])
-            pending.clear()
-        pending.append(block[cut:])
+    try:
+        while block := fh.read(_READ_CHUNK):
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield "".join([*pending, block[:cut]])
+                pending.clear()
+            pending.append(block[cut:])
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{fh.name}:{_undecodable_line(fh.name)}: "
+                               f"not UTF-8 text ({exc.reason})") from None
     if rest := "".join(pending):
         yield rest
 
@@ -223,43 +263,42 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     summary warning with the affected line count.
     """
     path = Path(path)
-    labels, (u, v) = _label_ids(_read_records(path, "two node labels"))
-    loop = u == v
-    n_loops = int(np.count_nonzero(loop))
-    u, v = u[~loop], v[~loop]
-    if not directed:
-        u, v = np.minimum(u, v), np.maximum(u, v)
-    n, n_pairs = len(labels), u.size
-    keys = np.sort(u * n + v)
+    # Labels are numbered as they stream in, and each chunk's records become
+    # int64 keys u << _KEY_SHIFT | v (lower endpoint first when undirected)
+    # at once, so no chunk's strings or id arrays outlive it.
+    ids: defaultdict[str, int] = defaultdict(count().__next__)
+    keys = [np.empty(0, dtype=np.int64)]
+    n_loops = 0
+    for tokens, _ in _read_records(path, "two node labels"):
+        uv = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+        # Free this chunk's strings before the next chunk is split: strings
+        # of two chunks side by side leave the kept labels spread over more
+        # allocator arenas, which the process then keeps.
+        del tokens
+        if len(ids) > 1 << (_KEY_SHIFT - 1):
+            raise GraphFormatError(f"{path}: more than 2**{_KEY_SHIFT - 1} node labels")
+        u, v = uv[0::2], uv[1::2]
+        pair = u != v
+        n_loops += pair.size - int(np.count_nonzero(pair))
+        u, v = u[pair], v[pair]
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        u <<= _KEY_SHIFT
+        u |= v
+        keys.append(u)
+    keys = np.concatenate(keys)
+    n_pairs = keys.size
+    keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]
     if n_loops:
         warnings.warn(f"{path}: dropped {n_loops} self-loop line(s)", stacklevel=2)
     if n_pairs > keys.size:
         warnings.warn(f"{path}: deduplicated {n_pairs - keys.size} repeated edge line(s)",
                       stacklevel=2)
-    del u, v  # free the pairs before Graph() makes its own copies
-    return Graph(labels, np.stack(np.divmod(keys, n), axis=1), directed=directed)
-
-
-def _label_ids(records) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels in order of first appearance, and the label ids of the
-    records as a (2, records) array."""
-    # One dict pass maps each token to the position of its label's first
-    # token; numbering those positions in order numbers the labels.
-    index: dict[str, int] = {}
-    positions = count()
-    at = [np.empty(0, dtype=np.int64)]
-    for tokens, _ in records:
-        at.append(np.fromiter(map(index.setdefault, tokens, positions), np.int64,
-                              len(tokens)))
-        # Free this chunk's strings before the next chunk is split: strings
-        # of two chunks side by side leave the kept labels spread over more
-        # allocator arenas, which the process then keeps.
-        del tokens
-    at = np.concatenate(at)  # one position per token
-    rank = np.empty(at.size, dtype=np.int64)
-    rank[np.fromiter(index.values(), np.int64, len(index))] = np.arange(len(index))
-    return tuple(index), rank[at].reshape(-1, 2).T
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, 1 << _KEY_SHIFT, out=(edges[:, 0], edges[:, 1]))
+    del keys  # before Graph() builds its own keys
+    return Graph(tuple(ids), edges, directed=directed)
 
 
 def fmt_float(x) -> str:
@@ -291,16 +330,26 @@ def save_graph(graph: Graph, path: str | Path) -> None:
 def load_partition(path: str | Path, graph: Graph) -> Partition:
     """Parse a two-column "node_label community_label" file for ``graph``."""
     path = Path(path)
-    mapping: dict[str, str] = {}
+    index = graph.label_index
+    seen = np.zeros(graph.n_nodes + 1, dtype=bool)  # unknown labels' -1 reads slot n
+    comm_ids = defaultdict(count().__next__)
+    nodes, comms = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for tokens, linenos in _read_records(path, "'node community'"):
-        for lineno, node, comm in zip(linenos.tolist(), tokens[::2], tokens[1::2]):
-            if node in mapping:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
-            if node not in graph.label_index:
-                raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
-            mapping[node] = comm
+        at = np.fromiter(map(index.get, tokens[::2], repeat(-1)), np.int64, linenos.size)
+        # A line fails if its node is unknown (-1) or named on an earlier
+        # line, of this chunk or another.
+        again = np.ones(at.size, dtype=bool)
+        again[np.unique(at, return_index=True)[1]] = False
+        bad = np.flatnonzero((at < 0) | again | seen[at])
+        if bad.size:
+            k = bad[0]
+            what = "unknown node label" if at[k] < 0 else "duplicate line for node"
+            raise GraphFormatError(f"{path}:{linenos[k]}: {what} {tokens[2 * k]!r}")
+        seen[at] = True
+        nodes.append(at)
+        comms.append(np.fromiter(map(comm_ids.__getitem__, tokens[1::2]), np.int64, at.size))
     try:
-        return partition_from_mapping(graph, mapping)
+        return _dense_partition(graph, np.concatenate(nodes), np.concatenate(comms))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 

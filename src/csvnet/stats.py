@@ -57,8 +57,8 @@ _CUT = 750.0
 # under half an ulp of a running sum of at least 1.0, which it leaves as is.
 _SUM_CUT = 40.0
 # A block's first window holds at most this many log-weights per array
-# (256 KiB of float64), or one row.
-_BLOCK_ELEMS = 1 << 15
+# (128 KiB of float64), or one row.
+_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,14 @@ def _pmf_blocks(N, K, n, lo, sizes, reach) -> Iterator[tuple[np.ndarray, np.ndar
     mean = nf * Kf / Nf
     sd = np.sqrt(mean * (Nf - Kf) / Nf * (Nf - nf) / (Nf - 1.0))
     first = np.where(reach < sizes - 1, mean + 6.0 * sd + 1.0, mean + 40.0 * sd + 64.0)
+    del Nf, Kf, nf, mean, sd
     guess = np.minimum(np.ceil(first).astype(np.int64) - lo, sizes)
+    del first
     order = np.argsort(guess, kind="stable")
     guess, sizes, reach = guess[order], sizes[order], reach[order]
     # The walk's float columns lo, K, n and N - K - n, stacked; see _extend.
     params = np.stack((lo, K, n, N - K - n))[:, order, None].astype(np.float64)
+    del N, K, n, lo  # held in params
     total, start = order.size, 0
     while start < total:
         # The rows that fit in _BLOCK_ELEMS at the width of the widest (the
@@ -123,11 +126,13 @@ def _pmf_blocks(N, K, n, lo, sizes, reach) -> Iterator[tuple[np.ndarray, np.ndar
                 top = logw.max(axis=1)
                 done |= (logw[:, -1] < top - _CUT) | (
                     (read_to < width) & (logw[:, -1] < top - _SUM_CUT))
-            part = logw[done]
-            part[np.arange(width) >= size[done][:, None]] = -np.inf
-            weights = np.exp(part - part.max(axis=1)[:, None])
+            weights = logw[done]
+            weights[np.arange(width) >= size[done][:, None]] = -np.inf
+            weights -= weights.max(axis=1)[:, None]
+            np.exp(weights, out=weights)
             weights /= np.cumsum(weights, axis=1)[:, -1:]
             yield idx[done], weights
+            del weights
             if done.all():
                 break
             keep = ~done
@@ -190,18 +195,23 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     inside = np.flatnonzero((lo <= x) & (x <= hi))
     # One pmf per distinct triple; its tests then differ only in x and side.
     # by_triple lists the tests triple by triple: triple t's start at first[t].
+    # Each per-test temporary is dropped once read, and only what the reads
+    # use outlives the walk's set-up.
     triple = np.stack([N, K, n])[:, inside]
     order = np.lexsort(triple[::-1])
     by_triple, triple = inside[order], triple[:, order]
+    del inside, order
     first = np.flatnonzero(np.diff(triple, axis=1, prepend=-1).any(axis=0))
+    del triple
     count = np.diff(first, append=by_triple.size)
     j = x - lo
     # A triple's row is read up to its largest lower-tail point, or whole
     # if an upper tail reads it (x <= hi, so hi - lo is then the largest).
-    read = np.where(upper, hi - lo, j)[by_triple]
-    reach = np.maximum.reduceat(read, first)
+    reach = np.maximum.reduceat(np.where(upper, hi - lo, j)[by_triple], first)
     t = by_triple[first]  # one test of each distinct triple
-    for idx, pmfs in _pmf_blocks(N[t], K[t], n[t], lo[t], hi[t] - lo[t] + 1, reach):
+    blocks = _pmf_blocks(N[t], K[t], n[t], lo[t], hi[t] - lo[t] + 1, reach)
+    del x, N, K, n, counts, lo, hi, reach, t
+    for idx, pmfs in blocks:
         # The tests of these triples, and the pmf row of each.
         per = count[idx]
         row = np.repeat(np.arange(idx.size), per)
@@ -211,6 +221,7 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
         for side, sel in ((True, up), (False, ~up)):
             if sel.any():
                 out[tests[sel]] = _read_mid_p(pmfs, row[sel], j[tests[sel]], side)
+        del pmfs  # before the walk builds the next block
     return out.reshape(shape)
 
 

@@ -11,7 +11,10 @@ package's sampler version 1); the package's geometric-skip sampler must
 match its per-pair edge frequencies over many seeds and its warning word for
 word. ``line_loop_load_graph`` is the per-line edge-list parser with a
 Python set for deduplication; the package's record reader must give the same
-labels, edges, warnings and errors. ``argsort_graph_edges`` is the ``Graph``
+labels, edges, warnings and errors. ``line_loop_load_partition`` is the
+per-line partition parser with a label -> community dict; the package's
+array-based loader must give the same assignment or the same error text.
+``argsort_graph_edges`` is the ``Graph``
 constructor's edge canonicalisation by stable argsort and gathers; the
 in-place key sort must give the same edge array or the same ValueError.
 ``recursive_from_newick`` is the
@@ -32,7 +35,7 @@ import numpy as np
 
 from csvnet._rng import derive_rng
 from csvnet.clustering import Dendrogram
-from csvnet.graph import Graph, GraphFormatError
+from csvnet.graph import Graph, GraphFormatError, Partition
 from csvnet.stats import HypergeomParams
 
 
@@ -280,6 +283,37 @@ def line_loop_load_graph(path, directed: bool = False) -> Graph:
         warnings.warn(f"{path}: deduplicated {n_dups} repeated edge line(s)", stacklevel=2)
     edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return Graph(tuple(labels), edges, directed=directed)
+
+
+def line_loop_load_partition(path, graph: Graph) -> Partition:
+    """Parse a partition file one line at a time into a label -> community
+    dict, then number communities by first appearance along the graph's
+    node order."""
+    path = Path(path)
+    mapping: dict[str, str] = {}
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if len(tokens) != 2:
+                raise GraphFormatError(f"{path}:{lineno}: expected 'node community', "
+                                       f"got {len(tokens)} tokens")
+            node, comm = tokens
+            if node in mapping:
+                raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
+            if node not in graph.node_labels:
+                raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
+            mapping[node] = comm
+    missing = [lab for lab in graph.node_labels if lab not in mapping]
+    if missing:
+        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+        raise GraphFormatError(f"{path}: uncovered node {missing[0]!r}{more}")
+    ids: dict[str, int] = {}
+    for lab in graph.node_labels:
+        ids.setdefault(mapping[lab], len(ids))
+    return Partition(np.array([ids[mapping[lab]] for lab in graph.node_labels],
+                              dtype=np.int64), len(ids))
 
 
 def recursive_from_newick(text: str) -> Dendrogram:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -132,6 +134,60 @@ def test_validate_malformed_graph(tmp_path, capsys):
     assert main(["validate", str(bad), str(part)]) == 2
     err = capsys.readouterr().err
     assert "bad.tsv:2" in err
+
+
+def test_validate_warnings_are_one_line_each(tmp_path, capsys):
+    # One self-loop line and one repeated edge line: two summary warnings,
+    # each shown as a single line with no Python source line after it.
+    graph = tmp_path / "g.tsv"
+    graph.write_text("a\tb\nb\tc\nc\tc\nb\ta\n", encoding="utf-8")
+    part = tmp_path / "p.tsv"
+    part.write_text("a\tx\nb\tx\nc\ty\n", encoding="utf-8")
+    assert main(["validate", str(graph), str(part), "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {graph}: dropped 1 self-loop line(s)",
+        f"warning: {graph}: deduplicated 1 repeated edge line(s)",
+    ]
+
+
+def test_validate_non_utf8_partition_names_the_file(triangles, tmp_path, capsys):
+    graph, _ = triangles
+    part = tmp_path / "latin1.tsv"
+    part.write_bytes(b"a\tx\nb\tx\nc\t\xe9t\xe9\nd\ty\ne\ty\nf\ty\n")
+    assert main(["validate", graph, str(part)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{part}:3: not UTF-8 text" in err
+
+
+def test_compare_non_utf8_graph_names_the_file(tmp_path, capsys):
+    paths = [clique_pair_file(tmp_path, f"g{i}.tsv", k=6 + i) for i in range(3)]
+    Path(paths[1]).write_bytes(Path(paths[1]).read_bytes() + b"n1\tn\xff\n")
+    out_dir = tmp_path / "never"
+    assert main(["compare", *paths, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{paths[1]}:43: not UTF-8 text" in err
+    assert not out_dir.exists()
+
+
+def test_validate_never_loads_the_hash_library(triangles):
+    # hashlib loads OpenSSL's libcrypto, a few MiB of resident memory; only
+    # compare's per-pair name keys use it, and import it when they run.
+    graph, partition = triangles
+    code = ("import runpy, sys\n"
+            "import csvnet.cli\n"
+            "assert '_hashlib' not in sys.modules, 'loaded by the import'\n"
+            f"sys.argv = ['csvnet', 'validate', {graph!r}, {partition!r}]\n"
+            "try:\n"
+            "    runpy.run_module('csvnet', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert '_hashlib' not in sys.modules, 'loaded by validate'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = os.environ | {"PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_empty_edge_list_exits_2(tmp_path, capsys):
@@ -446,6 +502,28 @@ def test_generate_theta_nan_is_a_range_error(tmp_path, capsys):
                  "--out-graph", str(tmp_path / "g.tsv"),
                  "--out-partition", str(tmp_path / "p.tsv")]) == 2
     assert "theta entries must lie in [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_all_zero_rates_exit_before_per_node_arrays(tmp_path, capsys):
+    # Every rate zero gives no edges at any v, so generate stops before it
+    # builds a per-node array: 0.24 MiB allocated at v = 10^6, against
+    # 140 MiB when the check came only after sampling.
+    outs = ["--out-graph", str(tmp_path / "g.tsv"), "--out-partition", str(tmp_path / "p.tsv")]
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--v", "1000000", "--theta-within", "0",
+                     "--theta-between", "0", *outs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == "error: generated graph has no edges; raise theta or v\n"
+    assert peak < 2**20, peak / 2**20
+    # Rates too small to draw an edge still meet the check after sampling.
+    assert main(["generate", "--v", "20", "--theta-within", "1e-12",
+                 "--theta-between", "0", *outs]) == 2
+    assert capsys.readouterr().err == "error: generated graph has no edges; raise theta or v\n"
     assert list(tmp_path.iterdir()) == []
 
 

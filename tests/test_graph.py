@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import argsort_graph_edges, block_link_counts, line_loop_load_graph, random_graph
+from oracles import (
+    argsort_graph_edges,
+    block_link_counts,
+    line_loop_load_graph,
+    line_loop_load_partition,
+    random_graph,
+)
 
 from csvnet import graph as graph_module
 from csvnet.graph import (
@@ -369,6 +376,117 @@ def test_first_bad_line_named_across_chunks(tmp_path, monkeypatch, chunk):
     p.write_text("a X\nb Y\nc Y Z\nz W\n")
     with pytest.raises(GraphFormatError, match=r"p\.tsv:3: expected 'node community', got 3"):
         load_partition(p, path3())
+
+
+# Line 6 names "e" first, and lines 5 and 8 repeat lines 1 and 3 reversed;
+# at these chunk sizes the first time and the repeat fall in different chunks.
+_LATE = "a b\nb c\n# note\nc d\nb a\ne a\n\nd c\nd d\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 9, 16, 1 << 16])
+@pytest.mark.parametrize("directed", [False, True])
+def test_late_labels_and_reversed_repeats_across_chunks(tmp_path, monkeypatch, chunk,
+                                                        directed):
+    f = tmp_path / "g.tsv"
+    f.write_text(_LATE)
+    expect = _load_outcome(line_loop_load_graph, f, directed)
+    assert expect[0] == ("a", "b", "c", "d", "e")
+    assert len(expect[2]) == (1 if directed else 2)
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert _load_outcome(load_graph, f, directed) == expect
+
+
+def test_edge_key_guard(tmp_path, monkeypatch):
+    # Keys hold the first endpoint above _KEY_SHIFT bits: with 3 bits, up to
+    # 4 labels pack exactly and a fifth is refused, not packed wrongly.
+    monkeypatch.setattr(graph_module, "_KEY_SHIFT", 3)
+    f = tmp_path / "g.tsv"
+    f.write_text("a b\nc d\nd a\nb c\nc a\n")
+    assert _load_outcome(load_graph, f, False) == _load_outcome(line_loop_load_graph, f, False)
+    f.write_text("a b\nc d\nd e\n")
+    with pytest.raises(GraphFormatError, match=r"g\.tsv: more than 2\*\*2 node labels"):
+        load_graph(f)
+
+
+def test_load_graph_memory(tmp_path):
+    # 50,000 seeded lines over 5,000 labels: 1.1 MiB of graph once loaded.
+    # The reader holds one 2^16-character chunk's tokens and ids at a time
+    # and one int64 key per line; measured peak 2.5 MiB (6.2 MiB when each
+    # chunk was 2^18 characters and labels were ranked through three
+    # whole-length id arrays).
+    rng = np.random.default_rng(28)
+    u, v = rng.integers(0, 5000, size=(2, 50_000))
+    f = tmp_path / "g.tsv"
+    f.write_text("".join(f"node{a}\tnode{b}\n" for a, b in zip(u.tolist(), v.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            g = load_graph(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert g.n_edges > 49_000
+    assert peak < 3.5 * 2**20, peak / 2**20
+
+
+def _partition_outcome(load, path, graph):
+    try:
+        p = load(path, graph)
+    except GraphFormatError as exc:
+        return str(exc)
+    return p.assignment.tolist(), p.q
+
+
+@st.composite
+def partition_texts(draw) -> str:
+    """Partition files over the labels a-e, with unknown labels, repeated
+    nodes, comments, blank and malformed lines, and LF, CRLF or CR ends."""
+    nodes = st.sampled_from(["a", "b", "c", "d", "e", "e", "z", "#y"])
+    comms = st.sampled_from(["X", "Y", "Z", "x#"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["comment", "blank", "bad"]))
+        if kind == "record":
+            lines.append(f"{draw(nodes)}{draw(st.sampled_from([' ', chr(9), chr(0x3000)]))}"
+                         f"{draw(comms)}")
+        elif kind == "comment":
+            lines.append("# node community")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " "])))
+        else:
+            lines.append(draw(st.sampled_from(["a", "a X Y"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(partition_texts(), st.sampled_from([1, 5, 12, 1 << 16]))
+@example("a X\nb Y\nc X\nd Z\ne Y\n", 1)
+@example("a X\nb Y\nc X\nd Z\ne Y\nb X\nz Y\n", 5)
+@example("a X\nb Y\nz X\nb Y\n", 1 << 16)
+def test_load_partition_matches_line_loop_oracle(tmp_path, monkeypatch, text, chunk):
+    graph = Graph(("e", "d", "c", "b", "a"), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    f = tmp_path / "p.tsv"
+    f.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert (_partition_outcome(load_partition, f, graph)
+            == _partition_outcome(line_loop_load_partition, f, graph))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk", [4, 1 << 16])
+def test_non_utf8_input_names_its_file_and_line(tmp_path, monkeypatch, newline, chunk):
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    f = tmp_path / "g.tsv"
+    lines = [b"a b", "# \u00e9".encode("utf-8"), b"b \xff", b"c d", b""]
+    f.write_bytes(newline.encode("ascii").join(lines))
+    with pytest.raises(GraphFormatError,
+                       match=r"g\.tsv:3: not UTF-8 text \(invalid start byte\)"):
+        load_graph(f)
+    with pytest.raises(GraphFormatError, match=r"g\.tsv:3: not UTF-8 text"):
+        load_partition(f, path3())
 
 
 def test_partition_round_trip(tmp_path):
