@@ -1,15 +1,17 @@
-"""Golden outputs of the simulate, compare and validate commands.
+"""Golden outputs of every csvnet command.
 
 Each case runs the CLI in-process at toy size and pins the sha256 of every
 file it writes. The compare digests were recorded while that command still
 ran on a thread pool, the validate digests with report schema version 2
 (``indices.SCHEMA_VERSION``: every mid-p normalizer and tail a running sum),
-and the simulate digests with DC-SBM sampler version 2
+and the simulate and generate digests with DC-SBM sampler version 2
 (``dcsbm.SAMPLER_VERSION``); any later refactor must reproduce
 them byte for byte, and a change that means to alter output must version it
 and re-record. The compare and validate inputs come from this file's own
 numpy sampler, so a change to csvnet's generator moves only the simulate
-digests.
+and generate digests. The generate digests pin ``save_graph``'s edge order;
+the cluster digests pin the loader's node order and the detectors'
+first-appearance community numbering.
 """
 
 from __future__ import annotations
@@ -45,6 +47,19 @@ COMPARE = {
     "D.tsv": "be27108f64d87bb0799eab5dfbaf7ca405ce057e197024aa23855e9b1a72dd9a",
     "dendrogram.nwk": "13cdb2839f39f6cd6d8734940dcdd9282ea9b46f6332fd33678efee569927edc",
     "summary.json": "92f148e01e663c47beb2e7669df52267ce580a53e4f2efc34a1ebee14c55776c",
+}
+
+# weight mode -> (graph file, partition file) sha256
+GENERATE = {
+    "uniform": ("b9b8e168cb83fdf07b6e06d5e0062908f5da01b3b2414721061d1e07cab4f402",
+                "cf8a880d82542dc222b3b5cc4bec17b6984269b32957de0170e00b458afd0f1f"),
+    "powerlaw": ("d87be18545c5740ac247bf96e3afe53ae57b8a204f019a8ea1ea402953adfb19",
+                 "cf8a880d82542dc222b3b5cc4bec17b6984269b32957de0170e00b458afd0f1f"),
+}
+
+CLUSTER = {
+    "louvain": "5d80b120c70cf6310747b15c28538c1dc96476a59c3d157a0125f5679aea689b",
+    "fast_greedy": "a63c998a25159fae5113dd26833235183b7f9aaa651ea8a251bcd635782c2fbd",
 }
 
 # (directed, {format: sha256}); the graphs have v=3000 nodes in q=30 blocks
@@ -97,6 +112,24 @@ def test_compare_golden(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["compare", *paths, "--seed", "3", "--out-dir", str(out_dir)]) == 0
     assert {name: sha256(out_dir / name) for name in COMPARE} == COMPARE
+
+
+@pytest.mark.parametrize("mode", sorted(GENERATE))
+def test_generate_golden(mode, tmp_path):
+    graph, part = tmp_path / "graph.tsv", tmp_path / "part.tsv"
+    assert main(["generate", "--v", "300", "--blocks", "5", "--theta-within", "0.2",
+                 "--theta-between", "0.01", "--weight-mode", mode, "--seed", "11",
+                 "--out-graph", str(graph), "--out-partition", str(part)]) == 0
+    assert (sha256(graph), sha256(part)) == GENERATE[mode]
+
+
+@pytest.mark.parametrize("algorithm", sorted(CLUSTER))
+def test_cluster_golden(algorithm, tmp_path):
+    path = planted_edge_list(tmp_path / "net.tsv", 80, 0.05, 41, 6)
+    out = tmp_path / "communities.tsv"
+    assert main(["cluster", path, "--algorithm", algorithm, "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert sha256(out) == CLUSTER[algorithm]
 
 
 def planted_validate_inputs(tmp_path: Path, directed: bool) -> tuple[str, str]:
