@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .graph import Graph, Partition, first_appearance_ids, fmt_float
+from .graph import Graph, Partition, _edge_keys, _key_edges, first_appearance_ids, fmt_float
 
 _GAIN_EPS = 1e-12
 
@@ -144,8 +144,7 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
     while True:
         k = np.bincount(u, w, n) + np.bincount(v, w, n) + loop
         comm, improved = _local_pass(_adjacency(n, u, v, w), k, two_w, rng)
-        dense_list, n_comm = first_appearance_ids(comm)
-        dense = np.asarray(dense_list, dtype=np.int64)
+        dense, n_comm = first_appearance_ids(comm)
         history.append(_level_q(u, v, w, loop, k, dense, n_comm, two_w))
         node_map = dense[node_map]
         if not improved or n_comm == n:
@@ -155,12 +154,12 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
         loop = (np.bincount(dense, loop, n_comm)
                 + 2.0 * np.bincount(cu[same], w[same], n_comm))
         cross = ~same
-        keys, inverse = np.unique(np.minimum(cu, cv)[cross] * n_comm
-                                  + np.maximum(cu, cv)[cross], return_inverse=True)
+        keys, inverse = np.unique(_edge_keys(cu[cross], cv[cross], False),
+                                  return_inverse=True)
         w = np.bincount(inverse, w[cross], keys.size)
-        u, v, n = keys // n_comm, keys % n_comm, n_comm
-    final, q = first_appearance_ids(node_map.tolist())
-    return Partition(np.asarray(final), q), history
+        u, v = _key_edges(keys).T
+        n = n_comm
+    return Partition(*first_appearance_ids(node_map)), history
 
 
 def louvain(graph: Graph, seed=0) -> Partition:
@@ -259,8 +258,7 @@ def fast_greedy(graph: Graph) -> Partition:
     owner = list(range(n))
     for a, b in merges[:best_step]:
         owner[_find(owner, b)] = _find(owner, a)
-    dense, q = first_appearance_ids(_find(owner, i) for i in range(n))
-    return Partition(np.asarray(dense), q)
+    return Partition(*first_appearance_ids([_find(owner, i) for i in range(n)]))
 
 
 # --- hierarchical clustering ----------------------------------------------------
@@ -353,8 +351,8 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> dict[str, int]:
         root = n + idx
         owner[_find(owner, a)] = root
         owner[_find(owner, b)] = root
-    ids, _ = first_appearance_ids(_find(owner, leaf) for leaf in range(n))
-    return dict(zip(dend.leaf_labels, ids))
+    ids, _ = first_appearance_ids([_find(owner, leaf) for leaf in range(n)])
+    return dict(zip(dend.leaf_labels, ids.tolist()))
 
 
 def _fmt(x: float) -> str:

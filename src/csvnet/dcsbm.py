@@ -93,7 +93,7 @@ def planted_partition(block_sizes) -> Partition:
 
 def theta_matrix(within, between: float, q: int | None = None) -> np.ndarray:
     """Symmetric block-rate matrix: ``within`` on the diagonal (scalar or
-    per-block vector), ``between`` everywhere else."""
+    per-block vector), ``between`` everywhere else; every rate in [0, 1]."""
     within = np.atleast_1d(np.asarray(within, dtype=np.float64))
     if q is None:
         q = within.size
@@ -103,7 +103,7 @@ def theta_matrix(within, between: float, q: int | None = None) -> np.ndarray:
         raise ValueError("within diagonal length does not match q")
     theta = np.full((q, q), float(between))
     np.fill_diagonal(theta, within)
-    return theta
+    return _check_theta(theta)
 
 
 def normalize_weights(raw, partition: Partition) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 _SAVE_BLOCK = 1 << 14  # edges formatted per write in save_graph
 _READ_CHUNK = 1 << 16  # characters read per chunk by _read_records
-_KEY_SHIFT = 32  # load_graph's edge key holds u above this bit and v below it
+_KEY_SHIFT = 32  # an edge key holds u above this bit and v below it
 # Code points str.split() separates on (all of them are at most U+3000);
 # the last entry stands for every code point above the table.
 _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
@@ -29,6 +29,28 @@ _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 class GraphFormatError(ValueError):
     """A graph or partition file could not be parsed."""
+
+
+def _edge_keys(u: np.ndarray, v: np.ndarray, directed: bool) -> np.ndarray:
+    """One int64 key ``u << _KEY_SHIFT | v`` per edge (u[k], v[k]), lower
+    endpoint first unless ``directed``; sorted keys order edges by (u, v).
+    Ids must be below ``2**(_KEY_SHIFT - 1)``."""
+    if directed:
+        key = u << _KEY_SHIFT
+        key |= v
+    else:
+        key = np.minimum(u, v)
+        key <<= _KEY_SHIFT
+        key |= np.maximum(u, v)
+    return key
+
+
+def _key_edges(keys: np.ndarray) -> np.ndarray:
+    """The (m, 2) edge array of ``keys`` from :func:`_edge_keys`."""
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.right_shift(keys, _KEY_SHIFT, out=edges[:, 0])
+    np.bitwise_and(keys, (1 << _KEY_SHIFT) - 1, out=edges[:, 1])
+    return edges
 
 
 @dataclass(eq=False)
@@ -54,21 +76,14 @@ class Graph:
         u, v = edges[:, 0], edges[:, 1]
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        # One int64 key per edge, u * n + v (lower endpoint first when
-        # undirected), built and sorted in place: sorted keys order the edges
-        # by (u, v) and put duplicates next to each other.
-        if self.directed:
-            key = u * n
-            key += v
-        else:
-            key = np.minimum(u, v)
-            key *= n
-            key += np.maximum(u, v)
+        if n > 1 << (_KEY_SHIFT - 1):
+            raise ValueError(f"more than 2**{_KEY_SHIFT - 1} nodes")
+        # Sorted keys order the edges and put duplicates next to each other.
+        key = _edge_keys(u, v, self.directed)
         key.sort()
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        edges = np.empty((key.size, 2), dtype=np.int64)
-        np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+        edges = _key_edges(key)
         edges.setflags(write=False)
         self.edges = edges
 
@@ -143,10 +158,12 @@ class Partition:
         return list(np.split(order, splits))
 
 
-def first_appearance_ids(values) -> tuple[list[int], int]:
+def first_appearance_ids(values) -> tuple[np.ndarray, int]:
     """Number ``values`` 0, 1, ... in order of first appearance, plus the count."""
-    ids: dict[object, int] = {}
-    return [ids.setdefault(x, len(ids)) for x in values], len(ids)
+    first, inverse = np.unique(values, return_index=True, return_inverse=True)[1:]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], first.size
 
 
 def _dense_partition(graph: Graph, nodes: np.ndarray, comms: np.ndarray) -> Partition:
@@ -161,10 +178,7 @@ def _dense_partition(graph: Graph, nodes: np.ndarray, comms: np.ndarray) -> Part
         name = repr(graph.node_labels[missing[0]])
         raise ValueError(f"uncovered node {name} (and {missing.size - 1} more)"
                          if missing.size > 1 else f"uncovered node {name}")
-    first = np.unique(asg, return_index=True)[1]  # each community's first node
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return Partition(rank[asg], first.size)
+    return Partition(*first_appearance_ids(asg))
 
 
 def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partition:
@@ -192,17 +206,19 @@ def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.nda
     The file is read as UTF-8 with an optional BOM and universal newlines,
     about ``_READ_CHUNK`` characters at a time, each chunk cut after its last
     line end. Tokens are separated as by ``str.split()``. Blank lines and
-    lines whose first token starts with '#' are skipped, and any other line
-    must hold exactly two tokens. Bytes that are not UTF-8 raise a
-    GraphFormatError naming the first line that holds them.
+    lines whose first token starts with '#' are skipped. The first line that
+    holds a byte that is not UTF-8, or that is no comment and does not hold
+    exactly two tokens, raises a GraphFormatError naming it, once the
+    records before it are yielded.
     """
     base = 0  # lines before the chunk
-    with open(path, encoding="utf-8-sig") as fh:
+    # Bytes that are not UTF-8 read as code points U+DC80..U+DCFF.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for text in _text_chunks(fh):
             # Record structure from the code points: each token begins at a
             # non-space after a space, and its line is the number of line
             # ends before it.
-            cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+            cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
             space = _SPACE[np.minimum(cp, _SPACE.size - 1)]
             begins = np.flatnonzero(~space & np.append(True, space[:-1]))
             ends = np.flatnonzero(cp == ord("\n"))
@@ -210,46 +226,38 @@ def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.nda
             heads = np.flatnonzero(np.diff(line, prepend=-1))  # first token per line
             counts = np.diff(heads, append=begins.size)
             record = cp[begins[heads]] != ord("#")
-            bad = np.flatnonzero(record & (counts != 2))
+            # A line is bad if it holds a byte that is not UTF-8 (an escape is
+            # a token's code point, so its line has a head) or if it is no
+            # comment and does not hold two tokens.
+            escapes = np.flatnonzero((cp >= 0xDC80) & (cp <= 0xDCFF))
+            undecodable = np.isin(line[heads], np.searchsorted(ends, escapes))
+            bad = np.flatnonzero(undecodable | record & (counts != 2))
             if bad.size:
                 record[bad[0]:] = False
             keep = np.repeat(record, counts).tolist()
             yield list(compress(text.split(), keep)), base + 1 + line[heads[record]]
             if bad.size:
-                raise GraphFormatError(f"{path}:{base + 1 + line[heads[bad[0]]]}: "
-                                       f"expected {expected}, got {counts[bad[0]]} tokens")
+                k = bad[0]
+                where = f"{path}:{base + 1 + line[heads[k]]}"
+                if undecodable[k]:  # the codec names what is wrong with it
+                    try:
+                        text.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise GraphFormatError(f"{where}: not UTF-8 text ({exc.reason})") from None
+                raise GraphFormatError(f"{where}: expected {expected}, got {counts[k]} tokens")
             base += ends.size
-
-
-def _undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8, with
-    line ends as universal newlines read them."""
-    lineno = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            for line in raw.splitlines():
-                lineno += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    return lineno
-    return lineno
 
 
 def _text_chunks(fh) -> Iterator[str]:
     """The text of ``fh`` in pieces of about ``_READ_CHUNK`` characters,
     each cut after its last line end; a line longer than that is one piece."""
     pending: list[str] = []
-    try:
-        while block := fh.read(_READ_CHUNK):
-            cut = block.rfind("\n") + 1
-            if cut:
-                yield "".join([*pending, block[:cut]])
-                pending.clear()
-            pending.append(block[cut:])
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{fh.name}:{_undecodable_line(fh.name)}: "
-                               f"not UTF-8 text ({exc.reason})") from None
+    while block := fh.read(_READ_CHUNK):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield "".join([*pending, block[:cut]])
+            pending.clear()
+        pending.append(block[cut:])
     if rest := "".join(pending):
         yield rest
 
@@ -264,8 +272,7 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     """
     path = Path(path)
     # Labels are numbered as they stream in, and each chunk's records become
-    # int64 keys u << _KEY_SHIFT | v (lower endpoint first when undirected)
-    # at once, so no chunk's strings or id arrays outlive it.
+    # edge keys at once, so no chunk's strings or id arrays outlive it.
     ids: defaultdict[str, int] = defaultdict(count().__next__)
     keys = [np.empty(0, dtype=np.int64)]
     n_loops = 0
@@ -280,12 +287,7 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
         u, v = uv[0::2], uv[1::2]
         pair = u != v
         n_loops += pair.size - int(np.count_nonzero(pair))
-        u, v = u[pair], v[pair]
-        if not directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        u <<= _KEY_SHIFT
-        u |= v
-        keys.append(u)
+        keys.append(_edge_keys(u[pair], v[pair], directed))
     keys = np.concatenate(keys)
     n_pairs = keys.size
     keys.sort()
@@ -295,8 +297,7 @@ def load_graph(path: str | Path, directed: bool = False) -> Graph:
     if n_pairs > keys.size:
         warnings.warn(f"{path}: deduplicated {n_pairs - keys.size} repeated edge line(s)",
                       stacklevel=2)
-    edges = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, 1 << _KEY_SHIFT, out=(edges[:, 0], edges[:, 1]))
+    edges = _key_edges(keys)
     del keys  # before Graph() builds its own keys
     return Graph(tuple(ids), edges, directed=directed)
 

@@ -14,9 +14,14 @@ Python set for deduplication; the package's record reader must give the same
 labels, edges, warnings and errors. ``line_loop_load_partition`` is the
 per-line partition parser with a label -> community dict; the package's
 array-based loader must give the same assignment or the same error text.
+Both split the file's bytes at universal line ends and decode one line at a
+time, so the first bad line wins whether it is malformed or not UTF-8.
 ``argsort_graph_edges`` is the ``Graph``
 constructor's edge canonicalisation by stable argsort and gathers; the
 in-place key sort must give the same edge array or the same ValueError.
+``definitional_pair`` is the relative-index comparison of two graphs
+written from its definitions with label sets and Python counters, for
+partitions the caller supplies; ``compare_all`` must give the same R entries.
 ``recursive_from_newick`` is the
 recursive-descent Newick parser that builds a nested-tuple parse tree and
 walks it; the package's one-pass scanner must give the same dendrogram, or a
@@ -26,7 +31,9 @@ ValueError wherever it raises one (past Python's recursion limit it reports
 
 from __future__ import annotations
 
+import codecs
 import warnings
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -244,6 +251,20 @@ def argsort_graph_edges(n: int, edges, directed: bool) -> np.ndarray:
     return edges[order]
 
 
+def decoded_lines(path: Path):
+    """``(line number, text)`` per line of ``path``: its bytes less a leading
+    UTF-8 BOM, split after each LF, CRLF or lone CR, and each line (with its
+    end) decoded on its own. A line that is not UTF-8 raises a
+    GraphFormatError with the codec's reason."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    for lineno, raw in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def line_loop_load_graph(path, directed: bool = False) -> Graph:
     """Parse an edge list one line at a time, deduplicating with a set."""
     path = Path(path)
@@ -253,30 +274,29 @@ def line_loop_load_graph(path, directed: bool = False) -> Graph:
     seen: set[tuple[int, int]] = set()
     n_dups = 0
     n_loops = 0
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two node labels, got {len(tokens)} tokens")
-            u_lab, v_lab = tokens
-            for lab in (u_lab, v_lab):
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-            u, v = index[u_lab], index[v_lab]
-            if u == v:
-                n_loops += 1
-                continue
-            key = (u, v) if directed or u < v else (v, u)
-            if key in seen:
-                n_dups += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
+    for lineno, line in decoded_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected two node labels, got {len(tokens)} tokens")
+        u_lab, v_lab = tokens
+        for lab in (u_lab, v_lab):
+            if lab not in index:
+                index[lab] = len(labels)
+                labels.append(lab)
+        u, v = index[u_lab], index[v_lab]
+        if u == v:
+            n_loops += 1
+            continue
+        key = (u, v) if directed or u < v else (v, u)
+        if key in seen:
+            n_dups += 1
+            continue
+        seen.add(key)
+        pairs.append(key)
     if n_loops:
         warnings.warn(f"{path}: dropped {n_loops} self-loop line(s)", stacklevel=2)
     if n_dups:
@@ -291,20 +311,19 @@ def line_loop_load_partition(path, graph: Graph) -> Partition:
     node order."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if len(tokens) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'node community', "
-                                       f"got {len(tokens)} tokens")
-            node, comm = tokens
-            if node in mapping:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
-            if node not in graph.node_labels:
-                raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
-            mapping[node] = comm
+    for lineno, line in decoded_lines(path):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'node community', "
+                                   f"got {len(tokens)} tokens")
+        node, comm = tokens
+        if node in mapping:
+            raise GraphFormatError(f"{path}:{lineno}: duplicate line for node {node!r}")
+        if node not in graph.node_labels:
+            raise GraphFormatError(f"{path}:{lineno}: unknown node label {node!r}")
+        mapping[node] = comm
     missing = [lab for lab in graph.node_labels if lab not in mapping]
     if missing:
         more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
@@ -314,6 +333,63 @@ def line_loop_load_partition(path, graph: Graph) -> Partition:
         ids.setdefault(mapping[lab], len(ids))
     return Partition(np.array([ids[mapping[lab]] for lab in graph.node_labels],
                               dtype=np.int64), len(ids))
+
+
+def definitional_csv_index(edges: set[frozenset], community: dict, alpha: float,
+                           weighted: bool) -> float:
+    """UCSV (WCSV if ``weighted``) of ``community`` (label -> id) on the
+    undirected label ``edges`` among its labels: one upper mid-p test per
+    community and one lower mid-p test per community pair, on link counts
+    against stub totals, BH-adjusted over the family; a test with an
+    endpoint of no stubs never rejects."""
+    links: Counter = Counter()
+    stubs: Counter = Counter()
+    for a, b in map(tuple, edges):
+        if a in community and b in community:
+            ca, cb = community[a], community[b]
+            links[ca, cb] += 1
+            links[cb, ca] += 1
+            stubs[ca] += 1
+            stubs[cb] += 1
+    comms = list(dict.fromkeys(community.values()))
+    tests = [(r, s) for i, r in enumerate(comms) for s in comms[i:]]
+    total = sum(stubs.values())
+    raw = [full_support_mid_p([links[r, s]], total, stubs[s], stubs[r], upper=r == s)[0]
+           for r, s in tests]
+    rejected = [adj for (r, s), adj in zip(tests, bh_reference(raw))
+                if stubs[r] and stubs[s] and adj <= alpha]
+    return sum((alpha - adj) / alpha if weighted else 1.0 for adj in rejected) / len(tests)
+
+
+def definitional_pair(g1: Graph, g2: Graph, partition_of, alpha: float, min_size: int,
+                      use_wcsv: bool) -> tuple[float, float, bool, bool]:
+    """``(R_12, R_21, defined_12, defined_21)`` for two undirected graphs.
+
+    The graphs are cut to their common labels, and ``partition_of(edges,
+    labels)`` gives each cut graph's label -> community map. Communities of
+    more than ``min_size`` of the common labels survive. R_12 is the index
+    of graph 1's surviving partition on graph 2 over its index on graph 1,
+    both over the surviving labels; a zero own index leaves R undefined, 0.
+    ValueError when no label is common or a side keeps no community."""
+    common = set(g1.node_labels) & set(g2.node_labels)
+    if not common:
+        raise ValueError("graphs share no node labels")
+    edges = [{frozenset((g.node_labels[u], g.node_labels[v])) for u, v in g.edges.tolist()}
+             for g in (g1, g2)]
+    edges = [{e for e in side if e <= common} for side in edges]
+    kept = []
+    for side in edges:
+        community = partition_of(side, common)
+        size = Counter(community.values())
+        kept.append({lab: c for lab, c in community.items() if size[c] > min_size})
+        if not kept[-1]:
+            raise ValueError("no communities survive the size filter")
+    out = []
+    for own, other, community in ((edges[0], edges[1], kept[0]), (edges[1], edges[0], kept[1])):
+        own_index = definitional_csv_index(own, community, alpha, use_wcsv)
+        other_index = definitional_csv_index(other, community, alpha, use_wcsv)
+        out.append((other_index / own_index, True) if own_index else (0.0, False))
+    return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
 def recursive_from_newick(text: str) -> Dendrogram:

@@ -505,6 +505,25 @@ def test_generate_theta_nan_is_a_range_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [["--theta-within", "2"], ["--theta-between", "-0.1"],
+                                   ["--theta-within", "nan"]])
+def test_generate_bad_rates_exit_before_per_node_arrays(flags, tmp_path, capsys):
+    # The rates are checked where theta is built, so generate stops before
+    # it builds a per-node array: 0.05-0.24 MiB allocated at v = 10^6,
+    # against 15.3 MiB when only the sampler's configuration checked them.
+    outs = ["--out-graph", str(tmp_path / "g.tsv"), "--out-partition", str(tmp_path / "p.tsv")]
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--v", "1000000", *flags, *outs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == "error: theta entries must lie in [0, 1]\n"
+    assert peak < 2**20, peak / 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_all_zero_rates_exit_before_per_node_arrays(tmp_path, capsys):
     # Every rate zero gives no edges at any v, so generate stops before it
     # builds a per-node array: 0.24 MiB allocated at v = 10^6, against

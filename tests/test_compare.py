@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import definitional_pair
 
+from csvnet import compare as compare_module
 from csvnet.clustering import louvain
 from csvnet.compare import compare_all, filter_small_communities, matrix_tsv
 from csvnet.graph import Graph, Partition
@@ -185,3 +189,57 @@ def test_compare_all_same_at_any_worker_count():
             == matrix_tsv(serial.names, getattr(serial, matrix))
     assert np.array_equal(forked.defined, serial.defined)
     assert np.array_equal(forked.d_matrix.values, serial.d_matrix.values)
+
+
+@st.composite
+def comparison_cases(draw):
+    """Two or three undirected graphs, each over more than half of up to 24
+    labels and stored in its own node order, and a label -> community map
+    (up to 3). Pairs inside a community are likelier edges, so tests reject."""
+    pool = [f"n{i}" for i in range(draw(st.integers(2, 24)))]
+    community = {lab: draw(st.integers(0, 2)) for lab in pool}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = []
+    for name in ("a", "b", "c")[:draw(st.integers(2, 3))]:
+        labels = draw(st.permutations(pool))[:draw(st.integers(len(pool) // 2 + 1, len(pool)))]
+        iu, ju = np.triu_indices(len(labels), k=1)
+        same = np.array([community[labels[i]] == community[labels[j]]
+                         for i, j in zip(iu.tolist(), ju.tolist())], dtype=bool)
+        hit = rng.random(iu.size) < np.where(same, draw(st.sampled_from([0.3, 0.8])), 0.1)
+        graphs.append((name, Graph(tuple(labels), np.stack([iu[hit], ju[hit]], axis=1))))
+    return graphs, community
+
+
+@settings(max_examples=150, deadline=None)
+@given(comparison_cases(), st.integers(1, 3), st.sampled_from([0.05, 0.3]), st.booleans())
+def test_compare_all_matches_definitional_oracle(case, min_size, alpha, use_wcsv):
+    # Each cut graph's partition is injected in place of Louvain: a node
+    # takes its label's community, or community 3 when it has no edge there.
+    graphs, community = case
+
+    def partition_of(edges, labels):
+        touched = set().union(*edges)
+        return {lab: community[lab] if lab in touched else 3 for lab in labels}
+
+    def injected(graph, seed):
+        edges = {frozenset((graph.node_labels[u], graph.node_labels[v]))
+                 for u, v in graph.edges.tolist()}
+        labels = partition_of(edges, graph.node_labels)
+        return Partition(np.array([labels[lab] for lab in graph.node_labels]), 4)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare_module, "louvain", injected)
+        result = compare_all(graphs, alpha=alpha, min_size=min_size, use_wcsv=use_wcsv)
+    by_name = dict(graphs)
+    for pair in result.per_pair:
+        try:
+            r_ij, r_ji, def_ij, def_ji = definitional_pair(
+                by_name[pair.name_i], by_name[pair.name_j], partition_of,
+                alpha, min_size, use_wcsv)
+        except ValueError as exc:
+            assert pair.error == str(exc)
+            continue
+        assert pair.error is None
+        assert (pair.defined_ij, pair.defined_ji) == (def_ij, def_ji)
+        assert pair.r_ij == pytest.approx(r_ij, abs=1e-12, rel=0)
+        assert pair.r_ji == pytest.approx(r_ji, abs=1e-12, rel=0)

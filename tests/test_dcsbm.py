@@ -56,6 +56,9 @@ def test_theta_matrix():
     assert t[0, 0] == 0.3 and t[1, 1] == 0.4 and t[0, 1] == t[1, 0] == 0.01
     scalar = theta_matrix(0.25, 0.0, 3)
     assert np.allclose(np.diag(scalar), 0.25)
+    for within, between in ((np.nan, 0.1), (0.5, -0.1), ([0.3, 1.5], 0.1), (0.3, np.inf)):
+        with pytest.raises(ValueError, match=r"theta entries must lie in \[0, 1\]"):
+            theta_matrix(within, between, 2)
 
 
 def test_config_validation():
@@ -64,7 +67,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         DcsbmConfig((2, 2), np.full((2, 2), 1.5), np.ones(4))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        DcsbmConfig((2, 2), theta_matrix(np.nan, 0.1, 2), np.ones(4))
+        DcsbmConfig((2, 2), np.array([[np.nan, 0.1], [0.1, np.nan]]), np.ones(4))
     with pytest.raises(ValueError, match="positive"):
         DcsbmConfig((0, 2), np.full((2, 2), 0.3), np.ones(2))
     with pytest.raises(ValueError, match="sum"):
@@ -170,8 +173,8 @@ def test_sample_graph_rejects_bad_assignment():
 
 
 @pytest.mark.parametrize("theta, match", [
-    (theta_matrix(np.nan, 0.1, 2), r"\[0, 1\]"),
-    (theta_matrix(0.5, -0.1, 2), r"\[0, 1\]"),
+    (np.array([[np.nan, 0.1], [0.1, np.nan]]), r"\[0, 1\]"),
+    (np.array([[0.5, -0.1], [-0.1, 0.5]]), r"\[0, 1\]"),
     (np.array([[0.5, 0.1], [0.2, 0.5]]), "symmetric"),
     (np.full((2, 3), 0.5), "square"),
     (np.full(2, 0.5), "square"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from csvnet.graph import (
     Graph,
     GraphFormatError,
     Partition,
+    first_appearance_ids,
     induced_subgraph,
     load_graph,
     load_partition,
@@ -126,6 +128,25 @@ def test_edge_canonicalisation_matches_argsort_oracle(case, directed):
     for pairs in (edges, edges[:, ::-1]):
         assert (_canonical_outcome(build, n, pairs, directed)
                 == _canonical_outcome(argsort_graph_edges, n, pairs, directed))
+
+
+def test_graph_refuses_more_nodes_than_its_edge_keys_hold(monkeypatch):
+    # Keys hold the first endpoint above _KEY_SHIFT bits: with 3 bits, a
+    # Graph takes up to 4 nodes, as load_graph takes up to 4 labels.
+    monkeypatch.setattr(graph_module, "_KEY_SHIFT", 3)
+    assert Graph(tuple("abcd"), [(3, 0), (1, 2)]).edges.tolist() == [[0, 3], [1, 2]]
+    with pytest.raises(ValueError, match=r"more than 2\*\*2 nodes"):
+        Graph(tuple("abcde"), [(0, 1)])
+
+
+@given(st.lists(st.integers(-3, 6), max_size=40))
+@example([])
+def test_first_appearance_ids_matches_dict_definition(values):
+    ids: dict[int, int] = {}
+    expect = [ids.setdefault(x, len(ids)) for x in values]
+    got, count = first_appearance_ids(values)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == expect and count == len(ids)
 
 
 def test_directed_keeps_both_orientations():
@@ -487,6 +508,70 @@ def test_non_utf8_input_names_its_file_and_line(tmp_path, monkeypatch, newline, 
         load_graph(f)
     with pytest.raises(GraphFormatError, match=r"g\.tsv:3: not UTF-8 text"):
         load_partition(f, path3())
+
+
+# (file, load_graph's error, load_partition's error on path3): the first bad
+# line wins whatever its kind, also when a byte that is not UTF-8 comes only
+# a few bytes after a malformed line, and such a byte fails a comment too.
+_FIRST_BAD = [
+    (b"a b\na b c\nb c\nc a\nc \xff\n",
+     "2: expected two node labels, got 3 tokens", "2: expected 'node community', got 3 tokens"),
+    (b"a b\na b c\nb c\n# caf\xe9\nc a\n",
+     "2: expected two node labels, got 3 tokens", "2: expected 'node community', got 3 tokens"),
+    (b"a b\n# caf\xe9\nb c\na b c\n",
+     "2: not UTF-8 text (invalid continuation byte)",
+     "2: not UTF-8 text (invalid continuation byte)"),
+    (b"a X\nb Y\na Z\nc \xff\n",
+     "4: not UTF-8 text (invalid start byte)", "3: duplicate line for node 'a'"),
+]
+
+
+@pytest.mark.parametrize("chunk", [4, 8, 16, 1 << 16])
+@pytest.mark.parametrize("case", range(len(_FIRST_BAD)))
+def test_first_bad_line_wins_whatever_its_kind(tmp_path, monkeypatch, case, chunk):
+    data, graph_error, partition_error = _FIRST_BAD[case]
+    f = tmp_path / "g.tsv"
+    f.write_bytes(data)
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert (_load_outcome(load_graph, f, False) == _load_outcome(line_loop_load_graph, f, False)
+            == f"{f}:{graph_error}")
+    assert (_partition_outcome(load_partition, f, path3())
+            == _partition_outcome(line_loop_load_partition, f, path3())
+            == f"{f}:{partition_error}")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILE_BYTES, st.sampled_from([3, 8, 1 << 16]), st.booleans())
+@example(b"a b\nb c\r\xe0\xa0\r\nc a", 3, False)
+@example(b"\xef\xbbx y\n", 8, False)
+def test_byte_inputs_match_line_loop_oracles(tmp_path, monkeypatch, data, chunk, directed):
+    # Arbitrary bytes, most of them not UTF-8: the same result or error text,
+    # codec reason included, at any chunk size.
+    f = tmp_path / "g.tsv"
+    f.write_bytes(data)
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert (_load_outcome(load_graph, f, directed)
+            == _load_outcome(line_loop_load_graph, f, directed))
+    assert (_partition_outcome(load_partition, f, path3())
+            == _partition_outcome(line_loop_load_partition, f, path3()))
+
+
+def test_each_reader_opens_its_input_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "open", counting_open, raising=False)
+    f = tmp_path / "g.tsv"
+    f.write_bytes(b"a b\nb c\nc \xff\n")
+    with pytest.raises(GraphFormatError, match=r"g\.tsv:3: not UTF-8 text"):
+        load_graph(f)
+    with pytest.raises(GraphFormatError, match=r"g\.tsv:3: not UTF-8 text"):
+        load_partition(f, path3())
+    assert opened == ["g.tsv", "g.tsv"]
 
 
 def test_partition_round_trip(tmp_path):
