@@ -157,8 +157,7 @@ def louvain_with_history(graph: Graph, seed) -> tuple[Partition, list[float]]:
         keys, inverse = np.unique(_edge_keys(cu[cross], cv[cross], False),
                                   return_inverse=True)
         w = np.bincount(inverse, w[cross], keys.size)
-        u, v = _key_edges(keys).T
-        n = n_comm
+        u, v, n = *_key_edges(keys).T, n_comm
     return Partition(*first_appearance_ids(node_map)), history
 
 

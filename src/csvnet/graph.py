@@ -48,8 +48,7 @@ def _edge_keys(u: np.ndarray, v: np.ndarray, directed: bool) -> np.ndarray:
 def _key_edges(keys: np.ndarray) -> np.ndarray:
     """The (m, 2) edge array of ``keys`` from :func:`_edge_keys`."""
     edges = np.empty((keys.size, 2), dtype=np.int64)
-    np.right_shift(keys, _KEY_SHIFT, out=edges[:, 0])
-    np.bitwise_and(keys, (1 << _KEY_SHIFT) - 1, out=edges[:, 1])
+    np.divmod(keys, 1 << _KEY_SHIFT, out=(edges[:, 0], edges[:, 1]))
     return edges
 
 
@@ -213,8 +212,10 @@ def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.nda
     """
     base = 0  # lines before the chunk
     # Bytes that are not UTF-8 read as code points U+DC80..U+DCFF.
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for text in _text_chunks(fh):
+            if not base:  # the first chunk (utf-8-sig would drop a partial BOM)
+                text = text.removeprefix("\ufeff")
             # Record structure from the code points: each token begins at a
             # non-space after a space, and its line is the number of line
             # ends before it.

@@ -271,32 +271,31 @@ _FILE_BYTES = (st.binary(max_size=60)
                          max_size=40).map(str.encode))
 
 
+# Arbitrary bytes, most of them not UTF-8: the line-loop oracle's result or
+# error text, codec reason included, at any chunk size.
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_FILE_BYTES)
-def test_load_graph_fuzz_parses_or_rejects(tmp_path, data):
+@given(_FILE_BYTES, st.sampled_from([3, 8, 1 << 16]), st.booleans())
+@example(b"a b\nb c\r\xe0\xa0\r\nc a", 3, False)
+@example(b"\xef\xbbx y\n", 8, False)
+def test_load_graph_fuzz_parses_or_rejects(tmp_path, monkeypatch, data, chunk, directed):
     f = tmp_path / "g.tsv"
     f.write_bytes(data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            result = load_graph(f)
-        except ValueError:
-            return
-    assert isinstance(result, Graph)
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert (_load_outcome(load_graph, f, directed)
+            == _load_outcome(line_loop_load_graph, f, directed))
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_FILE_BYTES)
-def test_load_partition_fuzz_parses_or_rejects(tmp_path, data):
+@given(_FILE_BYTES, st.sampled_from([3, 8, 1 << 16]))
+@example(b"\xef", 3)
+def test_load_partition_fuzz_parses_or_rejects(tmp_path, monkeypatch, data, chunk):
     f = tmp_path / "p.tsv"
     f.write_bytes(data)
-    try:
-        result = load_partition(f, path3())
-    except ValueError:
-        return
-    assert isinstance(result, Partition)
+    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
+    assert (_partition_outcome(load_partition, f, path3())
+            == _partition_outcome(line_loop_load_partition, f, path3()))
 
 
 _LABELS = st.sampled_from(["a", "b", "c", "d", "n10", "x#", "#y", "\u00e9"])
@@ -512,7 +511,8 @@ def test_non_utf8_input_names_its_file_and_line(tmp_path, monkeypatch, newline, 
 
 # (file, load_graph's error, load_partition's error on path3): the first bad
 # line wins whatever its kind, also when a byte that is not UTF-8 comes only
-# a few bytes after a malformed line, and such a byte fails a comment too.
+# a few bytes after a malformed line; such a byte fails a comment too, and so
+# does a file that is only the start of a byte-order mark.
 _FIRST_BAD = [
     (b"a b\na b c\nb c\nc a\nc \xff\n",
      "2: expected two node labels, got 3 tokens", "2: expected 'node community', got 3 tokens"),
@@ -523,6 +523,8 @@ _FIRST_BAD = [
      "2: not UTF-8 text (invalid continuation byte)"),
     (b"a X\nb Y\na Z\nc \xff\n",
      "4: not UTF-8 text (invalid start byte)", "3: duplicate line for node 'a'"),
+    (b"\xef\xbb", "1: not UTF-8 text (unexpected end of data)",
+     "1: not UTF-8 text (unexpected end of data)"),
 ]
 
 
@@ -538,23 +540,6 @@ def test_first_bad_line_wins_whatever_its_kind(tmp_path, monkeypatch, case, chun
     assert (_partition_outcome(load_partition, f, path3())
             == _partition_outcome(line_loop_load_partition, f, path3())
             == f"{f}:{partition_error}")
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_FILE_BYTES, st.sampled_from([3, 8, 1 << 16]), st.booleans())
-@example(b"a b\nb c\r\xe0\xa0\r\nc a", 3, False)
-@example(b"\xef\xbbx y\n", 8, False)
-def test_byte_inputs_match_line_loop_oracles(tmp_path, monkeypatch, data, chunk, directed):
-    # Arbitrary bytes, most of them not UTF-8: the same result or error text,
-    # codec reason included, at any chunk size.
-    f = tmp_path / "g.tsv"
-    f.write_bytes(data)
-    monkeypatch.setattr(graph_module, "_READ_CHUNK", chunk)
-    assert (_load_outcome(load_graph, f, directed)
-            == _load_outcome(line_loop_load_graph, f, directed))
-    assert (_partition_outcome(load_partition, f, path3())
-            == _partition_outcome(line_loop_load_partition, f, path3()))
 
 
 def test_each_reader_opens_its_input_once(tmp_path, monkeypatch):
