@@ -75,7 +75,6 @@ from .simharness import (
     run_sim3,
 )
 from .stats import (
-    HypergeomParams,
     bh_adjust,
     lower_mid_p,
     mid_p_family,
@@ -87,7 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CommunityScore", "ComparisonResult", "CsvReport", "DcsbmConfig",
     "Dendrogram", "DistanceMatrix", "EnrichmentMatrix", "EnrichmentResult",
-    "Graph", "GraphFormatError", "HypergeomParams", "PairComparison",
+    "Graph", "GraphFormatError", "PairComparison",
     "Partition", "SimResultRow", "bh_adjust", "compare_all",
     "complete_linkage", "csv_report", "cut_dendrogram", "degrade_partition",
     "derive_rng", "enrichment_matrix", "equal_block_sizes", "fast_greedy",

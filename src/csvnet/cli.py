@@ -41,6 +41,7 @@ from .graph import (
     induced_subgraph,
     load_graph,
     load_partition,
+    partition_lines,
     save_graph,
     save_partition,
 )
@@ -266,9 +267,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         partition = louvain(graph, args.seed)
     else:
         partition = fast_greedy(graph)
-    lines = [f"{lab}\t{partition.assignment[i]}"
-             for i, lab in enumerate(graph.node_labels)]
-    _write_text(args.out, ["\n".join(lines) + "\n"])
+    _write_text(args.out, partition_lines(partition, graph.node_labels))
     return 0
 
 

@@ -36,8 +36,7 @@ def filter_small_communities(partition: Partition,
     partition over them; community ids densify in ascending old-id order.
     """
     _check_min_size(min_size)
-    sizes = np.bincount(partition.assignment, minlength=partition.q)
-    survivors = np.flatnonzero(sizes > min_size)
+    survivors = np.flatnonzero(partition.sizes() > min_size)
     if survivors.size == 0:
         raise ValueError("no communities survive the size filter")
     new_id = np.full(partition.q, -1, dtype=np.int64)
@@ -52,16 +51,17 @@ def _cross_score(p: Partition, keep: np.ndarray, g_own: Graph, g_other: Graph,
     """(own-graph index, relative index, defined) for p over g_own's nodes
     ``keep`` (ascending). Both graphs are cut to those nodes and p is realigned
     by label onto g_other; a zero own index leaves the relative index
-    undefined, recorded as 0."""
+    undefined, recorded as 0, and g_other unscored."""
     labels = [g_own.node_labels[i] for i in keep]
-    g_own, g_other = induced_subgraph(g_own, labels), induced_subgraph(g_other, labels)
+    g_own = induced_subgraph(g_own, labels)
     index = "wcsv" if use_wcsv else "ucsv"
     own = getattr(csv_report(g_own, p, alpha=alpha), index)
+    if own == 0.0:
+        return 0.0, 0.0, False
+    g_other = induced_subgraph(g_other, labels)
     by_label = {lab: int(c) for lab, c in zip(g_own.node_labels, p.assignment)}
     p_other = Partition(np.array([by_label[lab] for lab in g_other.node_labels]), p.q)
     other = getattr(csv_report(g_other, p_other, alpha=alpha), index)
-    if own == 0.0:
-        return 0.0, 0.0, False
     return own, other / own, True
 
 

@@ -99,17 +99,19 @@ class EnrichmentMatrix:
         """Mask of the tests rejecting at level ``alpha``; degenerate tests never do."""
         return ~self.degenerate & (self.adj_p <= alpha)
 
-    def records(self) -> Iterator[Iterator[tuple]]:
-        """Per-test tuples in the field order of :class:`EnrichmentResult`,
-        in family order and in blocks of ``_RECORD_BLOCK`` tests: only the
-        block being read is held as Python objects."""
-        for lo in range(0, self.r.size, _RECORD_BLOCK):
-            cols = [getattr(self, name)[lo:lo + _RECORD_BLOCK].tolist() for name in _COLUMNS]
-            direction = [WITHIN_OVER if r == s else BETWEEN_UNDER
-                         for r, s in zip(cols[0], cols[1])]
-            yield zip(cols[0], cols[1], direction, *cols[2:])
+    def _rows(self, lo: int, hi: int) -> Iterator[tuple]:
+        """Tuples of tests ``lo`` to ``hi - 1`` in the field order of EnrichmentResult."""
+        cols = [getattr(self, name)[lo:hi].tolist() for name in _COLUMNS]
+        direction = [WITHIN_OVER if r == s else BETWEEN_UNDER for r, s in zip(cols[0], cols[1])]
+        return zip(cols[0], cols[1], direction, *cols[2:])
 
-    # Backs result(); perfbench/traced.py also counts tests through it.
+    def records(self) -> Iterator[Iterator[tuple]]:
+        """Per-test tuples in family order and in blocks of ``_RECORD_BLOCK``
+        tests: only the block being read is held as Python objects."""
+        for lo in range(0, self.r.size, _RECORD_BLOCK):
+            yield self._rows(lo, lo + _RECORD_BLOCK)
+
+    # Built only on request: perfbench/traced.py counts tests through it.
     @cached_property
     def results(self) -> tuple[EnrichmentResult, ...]:
         """Read-only per-test view, built on first access."""
@@ -127,7 +129,8 @@ class EnrichmentMatrix:
         if not self.directed and r > s:
             r, s = s, r
         (test,) = np.flatnonzero((self.r == r) & (self.s == s))
-        return self.results[test]
+        (row,) = self._rows(test, test + 1)
+        return EnrichmentResult(*row)
 
 
 def _block_counts(graph: Graph, partition: Partition) -> np.ndarray:

@@ -356,13 +356,16 @@ def load_partition(path: str | Path, graph: Graph) -> Partition:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def save_partition(partition: Partition, labels: Sequence[str], path: str | Path) -> None:
-    """Write one "node_label community" line per node; ``labels[i]`` names
-    node ``i`` of ``partition``."""
+def partition_lines(partition: Partition, labels: Sequence[str]) -> list[str]:
+    """One "node_label community" line per node; ``labels[i]`` names node ``i``."""
     if partition.n_nodes != len(labels):
         raise ValueError("partition does not match the number of labels")
-    lines = [f"{lab}\t{c}\n" for lab, c in zip(labels, partition.assignment.tolist())]
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
+    return [f"{lab}\t{c}\n" for lab, c in zip(labels, partition.assignment.tolist())]
+
+
+def save_partition(partition: Partition, labels: Sequence[str], path: str | Path) -> None:
+    """Write the :func:`partition_lines` of ``partition`` to ``path``."""
+    Path(path).write_text("".join(partition_lines(partition, labels)), "utf-8", newline="\n")
 
 
 def induced_subgraph(graph: Graph, keep) -> Graph:

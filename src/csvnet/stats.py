@@ -46,7 +46,6 @@ deep tails keep full relative precision instead of collapsing into
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,23 +58,6 @@ _SUM_CUT = 40.0
 # A block's first window holds at most this many log-weights per array
 # (128 KiB of float64), or one row.
 _BLOCK_ELEMS = 1 << 14
-
-
-@dataclass(frozen=True)
-class HypergeomParams:
-    """Population stubs N, success stubs K, and draw count n."""
-
-    N: int
-    K: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.K <= self.N and 0 <= self.n <= self.N):
-            raise ValueError(f"invalid hypergeometric parameters {self}")
-
-    @property
-    def support(self) -> tuple[int, int]:
-        return max(0, self.n + self.K - self.N), min(self.n, self.K)
 
 
 def _pmf_blocks(N, K, n, lo, sizes, reach) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -225,14 +207,15 @@ def mid_p_family(x, N, K, n, upper) -> np.ndarray:
     return out.reshape(shape)
 
 
-def upper_mid_p(x_obs: int, params: HypergeomParams) -> float:
-    """Mid-p-value of the overenrichment tail: P(X > x) + P(X = x) / 2."""
-    return float(mid_p_family(x_obs, params.N, params.K, params.n, True))
+def upper_mid_p(x_obs: int, N: int, K: int, n: int) -> float:
+    """Mid-p-value of the overenrichment tail: P(X > x) + P(X = x) / 2, for
+    n draws from N stubs of which K are successes."""
+    return float(mid_p_family(x_obs, N, K, n, True))
 
 
-def lower_mid_p(x_obs: int, params: HypergeomParams) -> float:
+def lower_mid_p(x_obs: int, N: int, K: int, n: int) -> float:
     """Mid-p-value of the underenrichment tail: P(X < x) + P(X = x) / 2."""
-    return float(mid_p_family(x_obs, params.N, params.K, params.n, False))
+    return float(mid_p_family(x_obs, N, K, n, False))
 
 
 def bh_adjust(pvalues) -> np.ndarray:

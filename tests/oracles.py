@@ -43,7 +43,6 @@ import numpy as np
 from csvnet._rng import derive_rng
 from csvnet.clustering import Dendrogram
 from csvnet.graph import Graph, GraphFormatError, Partition
-from csvnet.stats import HypergeomParams
 
 
 def exact_pmf(x: int, N: int, K: int, n: int) -> Fraction:
@@ -147,11 +146,12 @@ def random_graph(rng: np.random.Generator, n: int, m_target: int) -> Graph:
     return Graph(tuple(f"n{i}" for i in range(n)), sorted(pairs))
 
 
-def random_params(rng: np.random.Generator, n_max: int = 60) -> HypergeomParams:
+def random_params(rng: np.random.Generator, n_max: int = 60) -> tuple[int, int, int]:
+    """A valid (N, K, n): population, successes and draws."""
     N = int(rng.integers(0, n_max + 1))
     K = int(rng.integers(0, N + 1))
     n = int(rng.integers(0, N + 1))
-    return HypergeomParams(N, K, n)
+    return N, K, n
 
 
 def linkage_reference(values) -> tuple[tuple[int, int, float], ...]:

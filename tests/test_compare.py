@@ -243,3 +243,38 @@ def test_compare_all_matches_definitional_oracle(case, min_size, alpha, use_wcsv
         assert (pair.defined_ij, pair.defined_ji) == (def_ij, def_ji)
         assert pair.r_ij == pytest.approx(r_ij, abs=1e-12, rel=0)
         assert pair.r_ji == pytest.approx(r_ji, abs=1e-12, rel=0)
+
+
+def test_zero_own_index_skips_the_cross_report(monkeypatch):
+    # Graph a's partition is one community, whose lone within test cannot
+    # reject: its own index is 0, so R_ab is undefined and a's partition is
+    # not scored on b. b's partition splits the cliques and is scored on both.
+    g_a = clique_pair_graph(6)
+    g_b = shuffled_copy(Graph(g_a.node_labels, np.vstack([g_a.edges, [[0, 6]]])), seed=3)
+
+    def partition_of(edges, labels):
+        on_b = frozenset(("n0", "n6")) in edges
+        return {lab: int(on_b and int(lab[1:]) >= 6) for lab in labels}
+
+    def injected(graph, seed):
+        edges = {frozenset((graph.node_labels[u], graph.node_labels[v]))
+                 for u, v in graph.edges.tolist()}
+        labels = partition_of(edges, graph.node_labels)
+        return Partition(np.array([labels[lab] for lab in graph.node_labels]), 2)
+
+    calls = []
+    report = compare_module.csv_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(compare_module, "louvain", injected)
+    monkeypatch.setattr(compare_module, "csv_report", counted)
+    (pair,) = compare_all([("a", g_a), ("b", g_b)], min_size=1).per_pair
+    assert len(calls) == 3  # 4 when a's partition was also scored on b
+    assert (pair.own_index_i, pair.r_ij, pair.defined_ij) == (0.0, 0.0, False)
+    assert pair.defined_ji and pair.own_index_j > 0
+    r_ab, r_ba, def_ab, def_ba = definitional_pair(g_a, g_b, partition_of, 0.05, 1, False)
+    assert (def_ab, def_ba) == (pair.defined_ij, pair.defined_ji)
+    assert pair.r_ji == pytest.approx(r_ba, abs=1e-12, rel=0) and r_ab == pair.r_ij

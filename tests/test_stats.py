@@ -27,7 +27,6 @@ from oracles import (
 
 from csvnet import stats
 from csvnet.stats import (
-    HypergeomParams,
     bh_adjust,
     lower_mid_p,
     mid_p_family,
@@ -65,10 +64,12 @@ def test_pmf_values():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        HypergeomParams(4, 5, 2)
-    with pytest.raises(ValueError):
-        HypergeomParams(4, 2, -1)
+    # K > N and n < 0, through both tails and the family.
+    for N, K, n in [(4, 5, 2), (4, 2, -1)]:
+        for call in (upper_mid_p, lower_mid_p,
+                     lambda x, *params: mid_p_family(x, *params, True)):
+            with pytest.raises(ValueError, match="invalid hypergeometric parameters"):
+                call(1, N, K, n)
 
 
 def test_pmf_sums_to_one():
@@ -84,59 +85,54 @@ def test_pmf_sums_to_one():
 def test_pmf_symmetric_in_K_and_n():
     rng = np.random.default_rng(8)
     for _ in range(200):
-        p = random_params(rng)
-        lo, hi = p.support
-        xs = np.arange(lo, hi + 1)
+        N, K, n = random_params(rng)
+        xs = np.arange(max(0, n + K - N), min(n, K) + 1)
         for upper in (True, False):
-            assert mid_p_family(xs, p.N, p.K, p.n, upper) == pytest.approx(
-                mid_p_family(xs, p.N, p.n, p.K, upper), abs=1e-12)
+            assert mid_p_family(xs, N, K, n, upper) == pytest.approx(
+                mid_p_family(xs, N, n, K, upper), abs=1e-12)
 
 
 # --- mid-p-values -----------------------------------------------------------
 
 
 def test_mid_p_hand_values():
-    p = HypergeomParams(4, 2, 2)
-    assert upper_mid_p(2, p) == pytest.approx(1 / 12, abs=1e-14)
-    assert lower_mid_p(0, p) == pytest.approx(1 / 12, abs=1e-14)
+    assert upper_mid_p(2, 4, 2, 2) == pytest.approx(1 / 12, abs=1e-14)
+    assert lower_mid_p(0, 4, 2, 2) == pytest.approx(1 / 12, abs=1e-14)
 
 
 def test_mid_p_outside_support():
-    p = HypergeomParams(10, 4, 6)
-    lo, hi = p.support
-    assert upper_mid_p(lo - 1, p) == 1.0
-    assert upper_mid_p(hi + 1, p) == 0.0
-    assert lower_mid_p(lo - 1, p) == 0.0
-    assert lower_mid_p(hi + 1, p) == 1.0
+    p = (10, 4, 6)
+    lo, hi = 0, 4  # max(0, n + K - N), min(n, K)
+    assert upper_mid_p(lo - 1, *p) == 1.0
+    assert upper_mid_p(hi + 1, *p) == 0.0
+    assert lower_mid_p(lo - 1, *p) == 0.0
+    assert lower_mid_p(hi + 1, *p) == 1.0
 
 
 def test_mid_p_partition_identity():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        p = random_params(rng)
-        lo, hi = p.support
-        for x in range(lo, hi + 1):
-            assert upper_mid_p(x, p) + lower_mid_p(x, p) == pytest.approx(1.0, abs=1e-12)
+        N, K, n = random_params(rng)
+        for x in range(max(0, n + K - N), min(n, K) + 1):
+            assert upper_mid_p(x, N, K, n) + lower_mid_p(x, N, K, n) == pytest.approx(
+                1.0, abs=1e-12)
 
 
 def test_mid_p_matches_exact_enumeration():
     rng = np.random.default_rng(10)
     for _ in range(200):
         p = random_params(rng)
-        lo, hi = p.support
-        xs = list(range(lo, hi + 1)) or [0]
+        N, K, n = p
+        xs = list(range(max(0, n + K - N), min(n, K) + 1)) or [0]
         x = int(rng.choice(xs))
-        assert upper_mid_p(x, p) == pytest.approx(
-            float(exact_upper_mid_p(x, p.N, p.K, p.n)), abs=1e-12)
-        assert lower_mid_p(x, p) == pytest.approx(
-            float(exact_lower_mid_p(x, p.N, p.K, p.n)), abs=1e-12)
+        assert upper_mid_p(x, *p) == pytest.approx(float(exact_upper_mid_p(x, *p)), abs=1e-12)
+        assert lower_mid_p(x, *p) == pytest.approx(float(exact_lower_mid_p(x, *p)), abs=1e-12)
 
 
 def test_mid_p_large_population_tail_precision():
     # A deep tail must keep relative precision, not collapse to 0 or 1-eps.
-    p = HypergeomParams(20_000, 600, 600)
-    direct = upper_mid_p(40, p)
-    oracle = float(exact_upper_mid_p(40, p.N, p.K, p.n))
+    direct = upper_mid_p(40, 20_000, 600, 600)
+    oracle = float(exact_upper_mid_p(40, 20_000, 600, 600))
     assert direct == pytest.approx(oracle, rel=1e-9)
 
 
@@ -293,14 +289,13 @@ def test_family_bit_identical_at_the_validate_benchmark_shape():
 
 def test_scalar_api_reads_the_family_engine():
     for N, K, n in [(20_000, 600, 600), (1_000, 900, 800), (50, 0, 7), (1, 1, 1)]:
-        p = HypergeomParams(N, K, n)
         assert np.array_equal(engine_pmfs(N, K, n)[0], full_support_pmf(N, K, n))
         xs = probe_points(N, K, n)
-        assert [upper_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, True)
-        assert [lower_mid_p(x, p) for x in xs] == full_support_mid_p(xs, N, K, n, False)
+        assert [upper_mid_p(x, N, K, n) for x in xs] == full_support_mid_p(xs, N, K, n, True)
+        assert [lower_mid_p(x, N, K, n) for x in xs] == full_support_mid_p(xs, N, K, n, False)
         for x in xs:
             family = mid_p_family([x, x], N, K, n, [True, False])
-            assert family.tolist() == [upper_mid_p(x, p), lower_mid_p(x, p)]
+            assert family.tolist() == [upper_mid_p(x, N, K, n), lower_mid_p(x, N, K, n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,7 +476,7 @@ def test_family_rejects_non_integral_counts():
         with pytest.raises(ValueError, match="finite integers"):
             mid_p_family(*args, True)
     with pytest.raises(ValueError, match="finite integers"):
-        upper_mid_p(2, HypergeomParams(10.9, 5, 5))
+        upper_mid_p(2, 10.9, 5, 5)
     # Integral floats read as the integers they hold.
     assert mid_p_family([2.0, 3.0], 10.0, 5.0, 5, [True, False]).tolist() == (
         mid_p_family([2, 3], 10, 5, 5, [True, False]).tolist())
