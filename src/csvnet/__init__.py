@@ -16,7 +16,6 @@ from .clustering import (
     Dendrogram,
     DistanceMatrix,
     complete_linkage,
-    cut_dendrogram,
     fast_greedy,
     from_newick,
     louvain,
@@ -54,7 +53,6 @@ from .graph import (
     induced_subgraph,
     load_graph,
     load_partition,
-    partition_from_mapping,
     save_graph,
     save_partition,
 )
@@ -88,12 +86,12 @@ __all__ = [
     "Dendrogram", "DistanceMatrix", "EnrichmentMatrix", "EnrichmentResult",
     "Graph", "GraphFormatError", "PairComparison",
     "Partition", "SimResultRow", "bh_adjust", "compare_all",
-    "complete_linkage", "csv_report", "cut_dendrogram", "degrade_partition",
+    "complete_linkage", "csv_report", "degrade_partition",
     "derive_rng", "enrichment_matrix", "equal_block_sizes", "fast_greedy",
     "filter_small_communities", "from_newick",
     "induced_subgraph", "load_graph", "load_partition", "louvain",
     "louvain_with_history", "lower_mid_p", "matrix_tsv", "mid_p_family", "modularity",
-    "partition_from_mapping", "planted_partition", "powerlaw_weights",
+    "planted_partition", "powerlaw_weights",
     "report_to_json", "report_to_tsv", "rows_to_tsv",
     "run_sim1", "run_sim2", "run_sim3", "sample_dcsbm", "sample_graph",
     "sample_theta_within", "save_graph", "save_partition", "theta_matrix",

@@ -4,7 +4,7 @@ Subcommands: validate (score a partition on a graph), compare (pairwise
 relative indices for several graphs), generate (planted-partition sampler),
 cluster (community detection), and simulate (the three studies). All
 randomness flows from --seed; outputs are byte-identical across reruns.
-Exit codes: 0 success, 2 usage or input error, 1 internal error.
+Exit codes: 0 success, 2 usage, input or out-of-memory error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -403,8 +403,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -340,20 +340,6 @@ def complete_linkage(dist: DistanceMatrix) -> Dendrogram:
     return Dendrogram(tuple(merges), dist.labels)
 
 
-def cut_dendrogram(dend: Dendrogram, k: int) -> dict[str, int]:
-    """Drop the k - 1 highest merges and map each label to its cluster id."""
-    n = dend.n_leaves
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}")
-    owner = list(range(n + len(dend.merges)))
-    for idx, (a, b, _) in enumerate(dend.merges[:n - k]):
-        root = n + idx
-        owner[_find(owner, a)] = root
-        owner[_find(owner, b)] = root
-    ids, _ = first_appearance_ids([_find(owner, leaf) for leaf in range(n)])
-    return dict(zip(dend.leaf_labels, ids.tolist()))
-
-
 def _fmt(x: float) -> str:
     return fmt_float(x).removesuffix(".0")
 

@@ -159,19 +159,24 @@ def enrichment_matrix(graph: Graph, partition: Partition) -> EnrichmentMatrix:
     if partition.n_nodes != graph.n_nodes:
         raise ValueError("partition does not match graph size")
     q = partition.q
-    links = _block_counts(graph, partition)
-    if graph.directed:
-        r, s = np.nonzero(~np.eye(q, dtype=bool))
-    else:
-        r, s = np.triu_indices(q, k=1)
-    r = np.concatenate([np.arange(q), r])
-    s = np.concatenate([np.arange(q), s])
-    # Draws are r's outgoing stubs, successes s's incoming ones.
-    n_draw, n_succ = links.sum(axis=1)[r], links.sum(axis=0)[s]
-    n_total = int(links.sum())  # a Python int: each mean is one rounded division
-    n_obs = links[r, s]
-    raw = mid_p_family(n_obs, n_total, n_succ, n_draw, r == s)
-    mu0 = [a * b / n_total if n_total else 0.0
-           for a, b in zip(n_draw.tolist(), n_succ.tolist())]
-    return EnrichmentMatrix(q, graph.directed, r, s, n_obs, mu0, raw,
-                            bh_adjust(raw), (n_draw == 0) | (n_succ == 0))
+    try:
+        links = _block_counts(graph, partition)
+        if graph.directed:
+            r, s = np.nonzero(~np.eye(q, dtype=bool))
+        else:
+            r, s = np.triu_indices(q, k=1)
+        r = np.concatenate([np.arange(q), r])
+        s = np.concatenate([np.arange(q), s])
+        # Draws are r's outgoing stubs, successes s's incoming ones.
+        n_draw, n_succ = links.sum(axis=1)[r], links.sum(axis=0)[s]
+        n_total = int(links.sum())  # a Python int: each mean is one rounded division
+        n_obs = links[r, s]
+        raw = mid_p_family(n_obs, n_total, n_succ, n_draw, r == s)
+        mu0 = [a * b / n_total if n_total else 0.0
+               for a, b in zip(n_draw.tolist(), n_succ.tolist())]
+        return EnrichmentMatrix(q, graph.directed, r, s, n_obs, mu0, raw,
+                                bh_adjust(raw), (n_draw == 0) | (n_succ == 0))
+    except MemoryError as exc:
+        tests = q * q if graph.directed else q * (q + 1) // 2
+        raise MemoryError(f"the test family of q = {q} communities ({tests} tests) "
+                          f"does not fit in memory: {exc}") from exc

@@ -105,22 +105,6 @@ class Graph:
         deg.setflags(write=False)
         return deg
 
-    @cached_property
-    def out_degrees(self) -> np.ndarray:
-        if not self.directed:
-            raise ValueError("out_degrees is only defined for directed graphs")
-        deg = np.bincount(self.edges[:, 0], minlength=self.n_nodes)
-        deg.setflags(write=False)
-        return deg
-
-    @cached_property
-    def in_degrees(self) -> np.ndarray:
-        if not self.directed:
-            raise ValueError("in_degrees is only defined for directed graphs")
-        deg = np.bincount(self.edges[:, 1], minlength=self.n_nodes)
-        deg.setflags(write=False)
-        return deg
-
 
 @dataclass(eq=False)
 class Partition:
@@ -150,12 +134,6 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.q)
 
-    def communities(self) -> list[np.ndarray]:
-        """Node index sets per community id."""
-        order = np.argsort(self.assignment, kind="stable")
-        splits = np.searchsorted(self.assignment[order], np.arange(1, self.q))
-        return list(np.split(order, splits))
-
 
 def first_appearance_ids(values) -> tuple[np.ndarray, int]:
     """Number ``values`` 0, 1, ... in order of first appearance, plus the count."""
@@ -178,23 +156,6 @@ def _dense_partition(graph: Graph, nodes: np.ndarray, comms: np.ndarray) -> Part
         raise ValueError(f"uncovered node {name} (and {missing.size - 1} more)"
                          if missing.size > 1 else f"uncovered node {name}")
     return Partition(*first_appearance_ids(asg))
-
-
-def partition_from_mapping(graph: Graph, mapping: dict[str, object]) -> Partition:
-    """Build a dense Partition of ``graph`` from a label -> community mapping.
-
-    Community labels are remapped to 0..q-1 in order of first appearance
-    along the graph's node order.
-    """
-    index = graph.label_index
-    known = [lab for lab in mapping if lab in index]
-    comm_ids = defaultdict(count().__next__)
-    partition = _dense_partition(
-        graph, np.fromiter(map(index.__getitem__, known), np.int64, len(known)),
-        np.fromiter((comm_ids[mapping[lab]] for lab in known), np.int64, len(known)))
-    if len(known) < len(mapping):
-        raise ValueError(f"unknown node label {min(set(mapping) - set(index))!r}")
-    return partition
 
 
 def _read_records(path: Path, expected: str) -> Iterator[tuple[list[str], np.ndarray]]:

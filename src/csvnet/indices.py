@@ -29,8 +29,10 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _weights(matrix: EnrichmentMatrix, alpha: float) -> np.ndarray:
-    """(alpha - adj_p) / alpha for each rejection, 0.0 for every other test."""
-    return np.where(matrix.rejected(alpha), (alpha - matrix.adj_p) / alpha, 0.0)
+    """(alpha - adj_p) / alpha for each rejection, 0.0 for every other test.
+    Only rejections are divided: at a subnormal alpha, the others overflow."""
+    return np.divide(alpha - matrix.adj_p, alpha, out=np.zeros(matrix.r.size),
+                     where=matrix.rejected(alpha))
 
 
 def ucsv(matrix: EnrichmentMatrix, alpha: float) -> float:

@@ -42,6 +42,13 @@ def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def src_env() -> dict[str, str]:
+    """This environment with the package's source first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return os.environ | {"PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_validate_json_output(triangles, capsys):
     graph, partition = triangles
     assert main(["validate", graph, partition]) == 0
@@ -182,12 +189,52 @@ def test_validate_never_loads_the_hash_library(triangles):
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             "assert '_hashlib' not in sys.modules, 'loaded by validate'\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = os.environ | {"PYTHONPATH": src + os.pathsep + path if path else src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Bytes of address space for each capped run; csvnet starts in about 190 MiB.
+_ADDRESS_SPACE_CAP = 512 << 20
+
+
+def _memory_case(case: str, tmp_path: Path) -> tuple[list[str], str]:
+    """argv and the start of stderr for a run whose family or sample does not
+    fit under the cap."""
+    if case == "validate":
+        n, q = 10_000, 5_000  # 12,502,500 tests: about 2 GiB at full size
+        graph, part = tmp_path / "ring.tsv", tmp_path / "part.tsv"
+        graph.write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)), encoding="utf-8")
+        part.write_text("".join(f"n{i} c{i % q}\n" for i in range(n)), encoding="utf-8")
+        return (["validate", str(graph), str(part), "--out", str(tmp_path / "report.json")],
+                "error: the test family of q = 5000 communities (12502500 tests) "
+                "does not fit in memory: ")
+    if case == "generate":
+        return (["generate", "--v", "100000000000000", "--out-graph", str(tmp_path / "g.tsv"),
+                 "--out-partition", str(tmp_path / "p.tsv")], "error: Unable to allocate ")
+    return (["simulate", "sim1", "--v", "1000000000", "--out", str(tmp_path / "sim1.tsv")],
+            "error: Unable to allocate ")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the address-space cap is Linux's")
+@pytest.mark.parametrize("case", ["validate", "generate", "simulate"])
+def test_out_of_memory_exits_2_and_writes_nothing(case, tmp_path):
+    # Each run caps its own address space, so an allocation too large for the
+    # cap fails at once and the host's memory is never used up.
+    resource = pytest.importorskip("resource")
+    argv, message = _memory_case(case, tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+    # One BLAS thread keeps numpy's start-up address space small on any host.
+    env = src_env() | {"OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "csvnet", *argv], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 def test_validate_empty_edge_list_exits_2(tmp_path, capsys):

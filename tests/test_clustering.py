@@ -15,7 +15,6 @@ from csvnet.clustering import (
     Dendrogram,
     DistanceMatrix,
     complete_linkage,
-    cut_dendrogram,
     fast_greedy,
     from_newick,
     louvain,
@@ -231,17 +230,6 @@ def test_complete_linkage_heights_nondecreasing():
         dist = DistanceMatrix(tuple(f"v{i}" for i in range(n)), values)
         heights = [h for _, _, h in complete_linkage(dist).merges]
         assert all(b >= a for a, b in zip(heights, heights[1:]))
-
-
-def test_cut_dendrogram_levels():
-    dend = complete_linkage(three_leaf_matrix())
-    assert cut_dendrogram(dend, 1) == {"a": 0, "b": 0, "c": 0}
-    assert cut_dendrogram(dend, 2) == {"a": 0, "b": 0, "c": 1}
-    assert cut_dendrogram(dend, 3) == {"a": 0, "b": 1, "c": 2}
-    with pytest.raises(ValueError):
-        cut_dendrogram(dend, 0)
-    with pytest.raises(ValueError):
-        cut_dendrogram(dend, 4)
 
 
 def test_newick_output_examples():

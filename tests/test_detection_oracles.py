@@ -123,7 +123,8 @@ def _nx_graph(graph: Graph):
 
 
 def _nx_modularity(nx, g, partition: Partition) -> float:
-    return nx.community.modularity(g, [set(c.tolist()) for c in partition.communities()])
+    comms = [set(np.flatnonzero(partition.assignment == c).tolist()) for c in range(partition.q)]
+    return nx.community.modularity(g, comms)
 
 
 @pytest.mark.parametrize("theta_b", [0.01, 0.1, 0.2])

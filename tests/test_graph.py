@@ -27,7 +27,6 @@ from csvnet.graph import (
     induced_subgraph,
     load_graph,
     load_partition,
-    partition_from_mapping,
     save_graph,
     save_partition,
 )
@@ -152,8 +151,8 @@ def test_first_appearance_ids_matches_dict_definition(values):
 def test_directed_keeps_both_orientations():
     g = Graph(("a", "b"), [(0, 1), (1, 0)], directed=True)
     assert g.n_edges == 2
-    assert g.out_degrees.tolist() == [1, 1]
-    assert g.in_degrees.tolist() == [1, 1]
+    assert np.bincount(g.edges[:, 0], minlength=g.n_nodes).tolist() == [1, 1]
+    assert np.bincount(g.edges[:, 1], minlength=g.n_nodes).tolist() == [1, 1]
 
 
 def test_partition_validation():
@@ -161,21 +160,6 @@ def test_partition_validation():
         Partition(np.array([0, 2]), 2)
     with pytest.raises(ValueError):
         Partition(np.array([[0], [1]]), 2)
-
-
-def test_partition_from_mapping_first_appearance_order():
-    g = path3()
-    p = partition_from_mapping(g, {"a": "Y", "b": "X", "c": "Y"})
-    assert p.q == 2
-    assert p.assignment.tolist() == [0, 1, 0]
-
-
-def test_partition_from_mapping_errors():
-    g = path3()
-    with pytest.raises(ValueError, match="uncovered"):
-        partition_from_mapping(g, {"a": 0, "b": 0})
-    with pytest.raises(ValueError, match="unknown"):
-        partition_from_mapping(g, {"a": 0, "b": 0, "c": 0, "z": 1})
 
 
 # --- file I/O ----------------------------------------------------------------

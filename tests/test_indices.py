@@ -194,6 +194,15 @@ def test_csv_report_two_triangles():
     assert all(c.ucv == 1.0 for c in rep.per_community)
 
 
+def test_csv_report_subnormal_alpha_divides_only_rejections():
+    # Dividing every test by a subnormal alpha overflows, which the suite's
+    # error::RuntimeWarning filter turns into an error.
+    g, p = two_triangles()
+    rep = csv_report(g, p, alpha=5e-324)
+    assert rep.ucsv == rep.wcsv == 0.0
+    assert all(c.ucv == c.wcv == 0.0 for c in rep.per_community)
+
+
 def test_csv_report_single_community():
     g, _ = two_triangles()
     rep = csv_report(g, Partition(np.zeros(6, dtype=int), 1))
