@@ -54,8 +54,8 @@ def resolves(root: object, dotted: str) -> bool:
 
 def test_removed_names_stay_removed():
     names = removed_names()
-    for name in ("HypergeomParams.mean", "compare_pair", "cut_dendrogram", "Graph.in_degrees"):
-        assert name in names
+    assert {"HypergeomParams.mean", "compare_pair",
+            "cut_dendrogram", "Graph.in_degrees"} <= set(names)
     found = [f"{root.__name__}.{name}" for name in names
              for root in [csvnet, *csvnet_modules()] if resolves(root, name)]
     assert found == []
